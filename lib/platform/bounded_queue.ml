@@ -26,12 +26,6 @@ let lock_acct ?st t =
     if Mutex.try_lock t.lock then ()
     else Thread_state.enter st Thread_state.Blocked (fun () -> Mutex.lock t.lock)
 
-let wait_acct ?st cond lock =
-  match st with
-  | None -> Condition.wait cond lock
-  | Some st ->
-    Thread_state.enter st Thread_state.Waiting (fun () -> Condition.wait cond lock)
-
 let with_lock t f =
   Mutex.lock t.lock;
   Fun.protect ~finally:(fun () -> Mutex.unlock t.lock) f
@@ -46,7 +40,7 @@ let put ?st t v =
   Fun.protect ~finally:(fun () -> Mutex.unlock t.lock) @@ fun () ->
   if t.closed then raise Closed;
   while Queue.length t.items >= t.capacity && not t.closed do
-    wait_acct ?st t.not_full t.lock
+    Condvar.wait ?st t.not_full t.lock
   done;
   if t.closed then raise Closed;
   Queue.push v t.items;
@@ -66,7 +60,7 @@ let take ?st t =
   lock_acct ?st t;
   Fun.protect ~finally:(fun () -> Mutex.unlock t.lock) @@ fun () ->
   while Queue.is_empty t.items && not t.closed do
-    wait_acct ?st t.not_empty t.lock
+    Condvar.wait ?st t.not_empty t.lock
   done;
   if Queue.is_empty t.items then raise Closed;
   let v = Queue.pop t.items in
@@ -82,9 +76,8 @@ let try_take t =
     Some v
   end
 
-let take_timeout ?st t ~timeout_s =
+let take_timeout ?st ?(ready = fun () -> false) t ~timeout_s =
   let deadline = Int64.add (Mclock.now_ns ()) (Mclock.ns_of_s timeout_s) in
-  let bo = Backoff.create ~max_sleep_s:0.0002 () in
   lock_acct ?st t;
   Fun.protect ~finally:(fun () -> Mutex.unlock t.lock) @@ fun () ->
   let rec loop () =
@@ -94,25 +87,24 @@ let take_timeout ?st t ~timeout_s =
       Some v
     end
     else if t.closed then raise Closed
-    else if Int64.compare (Mclock.now_ns ()) deadline >= 0 then None
+    else if ready () || Int64.compare (Mclock.now_ns ()) deadline >= 0 then
+      None
     else begin
-      (* [Condition] has no timed wait; poll while the lock is released,
-         with capped exponential backoff so a long wait does not burn a
-         core. The cap keeps the deadline overshoot under ~200 µs. *)
-      Mutex.unlock t.lock;
-      Backoff.once ?st bo;
-      Mutex.lock t.lock;
+      Condvar.wait ?st ~deadline t.not_empty t.lock;
       loop ()
     end
   in
   loop ()
+
+(* Broadcast: each parked consumer re-checks its own [ready]. *)
+let notify t = with_lock t (fun () -> Condition.broadcast t.not_empty)
 
 let take_batch ?st t ~max =
   if max <= 0 then invalid_arg "Bounded_queue.take_batch: max <= 0";
   lock_acct ?st t;
   Fun.protect ~finally:(fun () -> Mutex.unlock t.lock) @@ fun () ->
   while Queue.is_empty t.items && not t.closed do
-    wait_acct ?st t.not_empty t.lock
+    Condvar.wait ?st t.not_empty t.lock
   done;
   if Queue.is_empty t.items then raise Closed;
   let rec drain k acc =
@@ -129,7 +121,7 @@ let take_batch_into ?st t ~buf =
   lock_acct ?st t;
   Fun.protect ~finally:(fun () -> Mutex.unlock t.lock) @@ fun () ->
   while Queue.is_empty t.items && not t.closed do
-    wait_acct ?st t.not_empty t.lock
+    Condvar.wait ?st t.not_empty t.lock
   done;
   if Queue.is_empty t.items then raise Closed;
   let n = ref 0 in

@@ -46,9 +46,22 @@ val try_take : 'a t -> 'a option
 (** Non-blocking [take]; [None] if empty. Never raises, even on a closed
     queue. *)
 
-val take_timeout : ?st:Thread_state.t -> 'a t -> timeout_s:float -> 'a option
-(** Like {!take} but gives up after [timeout_s] seconds, returning [None].
+val take_timeout :
+  ?st:Thread_state.t ->
+  ?ready:(unit -> bool) ->
+  'a t ->
+  timeout_s:float ->
+  'a option
+(** Like {!take} but parks at most [timeout_s] seconds (a timed condvar
+    wait, {!Condvar.wait}), returning [None] on timeout. [ready]
+    (default never) is an extra wake-up condition checked under the
+    queue's lock before each park: once it holds, [take_timeout] returns
+    [None] early. Whoever makes it true must then call {!notify}.
     @raise Closed if the queue is closed and drained. *)
+
+val notify : 'a t -> unit
+(** Wake every consumer parked in {!take_timeout} so it re-checks its
+    [ready] predicate. Call it after making that predicate true. *)
 
 val take_batch : ?st:Thread_state.t -> 'a t -> max:int -> 'a list
 (** [take_batch q ~max] blocks until at least one element is available,

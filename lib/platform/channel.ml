@@ -19,11 +19,6 @@ type 'a ring = {
 
 type 'a t = Mutex_q of 'a Bounded_queue.t | Ring of 'a ring
 
-(* How many failed polls (each a [Thread.yield]) before parking. With
-   systhreads a yield is the only way to make progress anyway; the budget
-   just bounds how long we burn the scheduler before paying a futex. *)
-let spin_budget = 16
-
 let core_push c x = match c with
   | S q -> Lf_queue.Spsc.try_push q x
   | M q -> Lf_queue.Mpmc.try_push q x
@@ -73,9 +68,9 @@ let is_closed = function
   | Mutex_q q -> Bounded_queue.is_closed q
   | Ring r -> Atomic.get r.closed
 
-let wake mu cv =
+let wake ?(all = false) mu cv =
   Mutex.lock mu;
-  Condition.signal cv;
+  if all then Condition.broadcast cv else Condition.signal cv;
   Mutex.unlock mu
 
 (* A waker must take [mu] before signalling: the parked side re-polls the
@@ -88,13 +83,9 @@ let wake_consumer r = if Atomic.get r.sleepers > 0 then wake r.mu r.nonempty
 let wake_producer r =
   if Atomic.get r.space_sleepers > 0 then wake r.mu r.nonfull
 
-let wait_acct ?st cond mu =
+let wait_acct ?st ?deadline cond mu =
   Waitstats.note_park ();
-  match st with
-  | None -> Condition.wait cond mu
-  | Some st ->
-    Thread_state.enter st Thread_state.Waiting (fun () ->
-        Condition.wait cond mu)
+  Condvar.wait ?st ?deadline cond mu
 
 let put ?st t v =
   match t with
@@ -104,32 +95,19 @@ let put ?st t v =
       if Atomic.get r.closed then raise Closed;
       core_push r.core v
     in
-    if pushed () then wake_consumer r
-    else begin
-      (* Spin a bounded number of rounds, then park on [nonfull]. *)
-      let rec spin n =
-        if n = 0 then false
-        else begin
-          Waitstats.note_spin ();
-          Thread.yield ();
-          pushed () || spin (n - 1)
-        end
-      in
-      if spin spin_budget then wake_consumer r
-      else begin
-        Atomic.incr r.space_sleepers;
-        Mutex.lock r.mu;
-        Fun.protect
-          ~finally:(fun () ->
-            Mutex.unlock r.mu;
-            Atomic.decr r.space_sleepers)
-          (fun () ->
-            while not (pushed ()) do
-              wait_acct ?st r.nonfull r.mu
-            done);
-        wake_consumer r
-      end
-    end
+    if not (pushed ()) then begin
+      Atomic.incr r.space_sleepers;
+      Mutex.lock r.mu;
+      Fun.protect
+        ~finally:(fun () ->
+          Mutex.unlock r.mu;
+          Atomic.decr r.space_sleepers)
+        (fun () ->
+          while not (pushed ()) do
+            wait_acct ?st r.nonfull r.mu
+          done)
+    end;
+    wake_consumer r
 
 let try_put t v =
   match t with
@@ -146,53 +124,53 @@ let try_put t v =
    drainable, and a [None] seen after the flag was already up means the
    channel is done. (A put racing [close] itself may be dropped; the
    spine only closes at shutdown, where in-flight work is discarded
-   anyway.) *)
+   anyway.) [poll] must not signal: the park loop calls it with [r.mu]
+   held, and the wake helper takes [r.mu]. *)
+let poll r =
+  let closed = Atomic.get r.closed in
+  match core_pop r.core with
+  | Some _ as v -> v
+  | None -> if closed then raise Closed else None
+
+(* Park on [nonempty] until an item, close, [ready ()], or [deadline].
+   [ready] is evaluated with [r.mu] held, after the sleeper count is up,
+   so a [notify] issued after the predicate turns true cannot be lost.
+   The producer-side wake happens once, after the lock is released. *)
+let ring_take ?st ?(ready = fun () -> false) ?deadline r =
+  let due () =
+    match deadline with
+    | None -> false
+    | Some d -> Int64.compare (Mclock.now_ns ()) d >= 0
+  in
+  let v =
+    match poll r with
+    | Some _ as v -> v
+    | None ->
+      Atomic.incr r.sleepers;
+      Mutex.lock r.mu;
+      Fun.protect
+        ~finally:(fun () ->
+          Mutex.unlock r.mu;
+          Atomic.decr r.sleepers)
+        (fun () ->
+          let rec loop () =
+            match poll r with
+            | Some _ as v -> v
+            | None when ready () || due () -> None
+            | None ->
+              wait_acct ?st ?deadline r.nonempty r.mu;
+              loop ()
+          in
+          loop ())
+  in
+  (match v with Some _ -> wake_producer r | None -> ());
+  v
+
 let take ?st t =
   match t with
   | Mutex_q q -> Bounded_queue.take ?st q
-  | Ring r ->
-    (* [poll] must not signal: the park loop calls it with [r.mu] held,
-       and the wake helper takes [r.mu]. The producer-side wake happens
-       once, after any lock is released. *)
-    let poll () =
-      let closed = Atomic.get r.closed in
-      match core_pop r.core with
-      | Some v -> Some v
-      | None -> if closed then raise Closed else None
-    in
-    let v =
-      match poll () with
-      | Some v -> v
-      | None ->
-        let rec spin n =
-          if n = 0 then None
-          else begin
-            Waitstats.note_spin ();
-            Thread.yield ();
-            match poll () with Some v -> Some v | None -> spin (n - 1)
-          end
-        in
-        (match spin spin_budget with
-         | Some v -> v
-         | None ->
-           Atomic.incr r.sleepers;
-           Mutex.lock r.mu;
-           Fun.protect
-             ~finally:(fun () ->
-               Mutex.unlock r.mu;
-               Atomic.decr r.sleepers)
-             (fun () ->
-               let rec loop () =
-                 match poll () with
-                 | Some v -> v
-                 | None ->
-                   wait_acct ?st r.nonempty r.mu;
-                   loop ()
-               in
-               loop ()))
-    in
-    wake_producer r;
-    v
+  | Ring r -> (
+      match ring_take ?st r with Some v -> v | None -> assert false)
 
 let try_take t =
   match t with
@@ -204,28 +182,18 @@ let try_take t =
        Some v
      | None -> None)
 
-let take_timeout ?st t ~timeout_s =
+let take_timeout ?st ?ready t ~timeout_s =
   match t with
-  | Mutex_q q -> Bounded_queue.take_timeout ?st q ~timeout_s
+  | Mutex_q q -> Bounded_queue.take_timeout ?st ?ready q ~timeout_s
   | Ring r ->
     let deadline = Int64.add (Mclock.now_ns ()) (Mclock.ns_of_s timeout_s) in
-    let bo = Backoff.create ~max_sleep_s:0.0002 () in
-    let rec loop () =
-      let closed = Atomic.get r.closed in
-      match core_pop r.core with
-      | Some v ->
-        wake_producer r;
-        Some v
-      | None ->
-        if closed then raise Closed
-        else if Int64.compare (Mclock.now_ns ()) deadline >= 0 then None
-        else begin
-          Waitstats.note_spin ();
-          Backoff.once ?st bo;
-          loop ()
-        end
-    in
-    loop ()
+    ring_take ?st ?ready ~deadline r
+
+let notify = function
+  | Mutex_q q -> Bounded_queue.notify q
+  | Ring r ->
+    (* Broadcast: each parked consumer re-checks its own [ready]. *)
+    if Atomic.get r.sleepers > 0 then wake ~all:true r.mu r.nonempty
 
 let drain_count r ~max =
   (* Pop up to [max]; stop at the first miss. Caller saw at least one

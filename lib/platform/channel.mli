@@ -8,12 +8,13 @@
     - [lockfree:false] — the original mutex+condvar {!Bounded_queue};
       this path is pinned byte-for-byte by the goldens.
     - [lockfree:true] — an SPSC or MPMC ring. The data path is a few
-      atomic operations; blocking is *spin-then-park*: a short bounded
-      burst of polls (counted in {!Waitstats} as spins), then a park on
-      a fallback condition variable (counted as a park and accounted as
-      [Waiting] in {!Thread_state}). Because the data path never takes
-      a lock, tracer-attributed [Blocked] time on the spine collapses
-      toward zero — the effect bench007 measures.
+      atomic operations; an empty [take] or a full [put] parks at once on
+      a condition variable (counted as a park in {!Waitstats} and
+      accounted as [Waiting] in {!Thread_state}), and timed takes park
+      with a deadline ({!Condvar.wait}) — no yield-spin, no
+      sleep-poll. Because the data path never takes a lock,
+      tracer-attributed [Blocked] time on the spine collapses toward
+      zero — the effect bench007 measures.
 
     Semantics mirror {!Bounded_queue} exactly (same [Closed] exception,
     so {!Worker.spawn}'s shutdown handling applies unchanged), with one
@@ -54,9 +55,24 @@ val take : ?st:Thread_state.t -> 'a t -> 'a
 val try_take : 'a t -> 'a option
 (** Non-blocking; [None] when empty. Never raises. *)
 
-val take_timeout : ?st:Thread_state.t -> 'a t -> timeout_s:float -> 'a option
-(** Like {!take} with a deadline; [None] on timeout.
-    @raise Closed once closed and drained. *)
+val take_timeout :
+  ?st:Thread_state.t ->
+  ?ready:(unit -> bool) ->
+  'a t ->
+  timeout_s:float ->
+  'a option
+(** Like {!take} with a deadline: parks until an item, close, the
+    deadline ([None]) or [ready ()] ([None]). [ready] (default never) is
+    checked with the channel's park lock held, after the consumer has
+    announced itself as a sleeper, so a producer that makes it true and
+    then calls {!notify} cannot lose the wake-up. This is how a stage
+    waits on two sources at once (ClientIO: its ingress and its reply
+    queue). @raise Closed once closed and drained. *)
+
+val notify : 'a t -> unit
+(** Wake the consumers parked in {!take_timeout} so they re-check their
+    [ready]. On the ring engine this is one atomic read when nobody is
+    parked. *)
 
 val take_batch : ?st:Thread_state.t -> 'a t -> max:int -> 'a list
 (** Blocks for the first element, then drains up to [max] without

@@ -25,12 +25,18 @@ let with_lock t f =
   Mutex.lock t.lock;
   Fun.protect ~finally:(fun () -> Mutex.unlock t.lock) f
 
-let schedule t ~at_ns value =
-  let cancelled = Atomic.make false in
+let handle () = Atomic.make false
+
+let schedule ?handle:(cancelled = handle ()) t ~at_ns value =
+  let e = { at_ns; value; cancelled } in
   with_lock t (fun () ->
       if t.closed then raise Closed;
-      Binary_heap.add t.heap { at_ns; value; cancelled };
-      Condition.signal t.not_empty);
+      Binary_heap.add t.heap e;
+      (* The consumer is parked until the old minimum's deadline; only a
+         new, earlier minimum changes when it must wake. *)
+      match Binary_heap.min_elt t.heap with
+      | Some m when m == e -> Condition.signal t.not_empty
+      | _ -> ());
   cancelled
 
 let cancel h = Atomic.set h true
@@ -61,44 +67,21 @@ let next_due_ns t =
   drop_cancelled t;
   Option.map (fun e -> e.at_ns) (Binary_heap.min_elt t.heap)
 
+(* Park until the earliest live entry is due: a timed wait up to its
+   deadline, an untimed one on an empty heap. [schedule] signals when it
+   installs an earlier minimum. *)
 let take ?st t =
+  with_lock t @@ fun () ->
   let rec loop () =
-    let action =
-      with_lock t @@ fun () ->
-      if t.closed then raise Closed;
-      drop_cancelled t;
-      match Binary_heap.min_elt t.heap with
-      | None -> `Wait
-      | Some e ->
-        let now = Mclock.now_ns () in
-        if Int64.compare e.at_ns now <= 0 then begin
-          ignore (Binary_heap.pop_min t.heap);
-          `Ready e.value
-        end
-        else `Sleep (Mclock.s_of_ns (Int64.sub e.at_ns now))
-    in
-    match action with
-    | `Ready v -> v
-    | `Wait ->
-      Mutex.lock t.lock;
-      Fun.protect ~finally:(fun () -> Mutex.unlock t.lock) (fun () ->
-          if Binary_heap.is_empty t.heap && not t.closed then begin
-            match st with
-            | None -> Condition.wait t.not_empty t.lock
-            | Some st ->
-              Thread_state.enter st Thread_state.Waiting (fun () ->
-                  Condition.wait t.not_empty t.lock)
-          end);
-      loop ()
-    | `Sleep s ->
-      (* An earlier entry may be scheduled while we sleep; cap the nap so
-         we notice within a bounded delay. Retransmission timeouts are
-         tens of milliseconds, so a 2 ms cap costs nothing. *)
-      let nap = Float.min s 0.002 in
-      (match st with
-       | None -> Mclock.sleep_s nap
-       | Some st ->
-         Thread_state.enter st Thread_state.Other (fun () -> Mclock.sleep_s nap));
+    if t.closed then raise Closed;
+    drop_cancelled t;
+    match Binary_heap.min_elt t.heap with
+    | Some e when Int64.compare e.at_ns (Mclock.now_ns ()) <= 0 ->
+      ignore (Binary_heap.pop_min t.heap);
+      e.value
+    | next ->
+      let deadline = Option.map (fun e -> e.at_ns) next in
+      Condvar.wait ?st ?deadline t.not_empty t.lock;
       loop ()
   in
   loop ()

@@ -14,8 +14,14 @@ type handle
 
 val create : unit -> 'a t
 
-val schedule : 'a t -> at_ns:int64 -> 'a -> handle
-(** Enqueue [v] to become due at absolute monotonic time [at_ns]. *)
+val schedule : ?handle:handle -> 'a t -> at_ns:int64 -> 'a -> handle
+(** Enqueue [v] to become due at absolute monotonic time [at_ns] and
+    return its cancellation handle: [handle] when given (so one handle
+    can follow an entry across re-schedules), a fresh one otherwise.
+    Wakes the consumer only if the entry becomes the earliest. *)
+
+val handle : unit -> handle
+(** A fresh, uncancelled handle for {!schedule}. *)
 
 val cancel : handle -> unit
 (** Mark the entry cancelled. Lock-free; never wakes the consumer.
@@ -35,7 +41,11 @@ val next_due_ns : 'a t -> int64 option
 (** Deadline of the earliest live entry, if any. *)
 
 val take : ?st:Thread_state.t -> 'a t -> 'a
-(** Block until the earliest live entry becomes due and return it.
+(** Block until the earliest live entry becomes due and return it. The
+    thread parks in a timed condvar wait until that deadline (accounted
+    as [Waiting]); it does not poll. A cancelled minimum still costs one
+    wake-up at its deadline, where it and every cancelled entry behind
+    it at the top of the heap are dropped.
     @raise Closed if the queue is closed. *)
 
 exception Closed

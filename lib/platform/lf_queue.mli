@@ -13,7 +13,7 @@
       a ticket rather than spin on a shared lock.
 
     Both are *non-blocking* cores: [try_push]/[try_pop] never wait. The
-    blocking facade with spin-then-park and close semantics lives in
+    blocking facade with condvar parking and close semantics lives in
     {!Channel}. Indices are monotone 63-bit ints (no wraparound, no
     ABA); capacities are rounded up to a power of two — {!Spsc_core}
     still enforces the exact requested bound, {!Mpmc_core} reports and

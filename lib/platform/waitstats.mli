@@ -2,11 +2,11 @@
 
     The paper's profiles attribute stall time per thread
     ({!Thread_state}); these counters attribute it per *mechanism*: how
-    often a channel consumer had to spin one round, and how often it
-    gave up spinning and parked on the fallback condition variable. The
-    observability layer exposes them as [msmr_queue_spin_total] and
-    [msmr_queue_park_total] (docs/OBSERVABILITY.md); a healthy lock-free
-    spine shows a small park count against a large op count.
+    often a waiter parked on a condition variable (a {!Channel} ring or
+    an executor of the work-stealing pool), and how often the
+    work-stealing pool spun one round instead (the channels never spin).
+    The observability layer exposes them as [msmr_queue_spin_total] and
+    [msmr_queue_park_total] (docs/OBSERVABILITY.md).
 
     Counters are plain atomics — one add per event, no labels — so the
     rings can afford to bump them on their wait paths. *)

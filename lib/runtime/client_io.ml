@@ -76,31 +76,38 @@ let drain_replies t (ctx : worker_ctx) =
 
 (* One ClientIO thread: drain replies eagerly (they are cheap and the
    ServiceManager must never wait), push at most one decoded request at a
-   time into the RequestQueue, and only then accept new ingress. *)
+   time into the RequestQueue, and only then accept new ingress. An idle
+   worker parks on its ingress; [deliver_reply] rings the doorbell
+   ([Bq.notify]) that wakes it for replies. *)
 let worker_loop t idx st =
   let ctx = t.workers.(idx) in
   let pending : Client_msg.request option ref = ref None in
   let bo = Backoff.create ~max_sleep_s:0.0005 () in
+  let replies_ready () = not (Mpsc.is_empty ctx.replies) in
   let running = ref true in
   while !running do
     (* 1. Replies out (coalesced per connection). *)
     ignore (drain_replies t ctx);
     (* 2. Back-pressured hand-off to the Batcher. *)
     (match !pending with
-     | Some req ->
-       if Bq.try_put t.request_queue req then begin
-         pending := None;
-         Backoff.reset bo
-       end
-       else
-         (* RequestQueue full: the pipeline is saturated; stop pulling
-            new requests (back-pressure) but keep replies flowing. *)
-         Backoff.once ~st bo
+     | Some req -> (
+         match Bq.try_put t.request_queue req with
+         | true ->
+           pending := None;
+           Backoff.reset bo
+         | false ->
+           (* RequestQueue full: the pipeline is saturated; stop pulling
+              new requests (back-pressure) but keep replies flowing. A
+              closed ingress means shutdown: drop the request. *)
+           if Bq.is_closed ctx.ingress then running := false
+           else Backoff.once ~st bo
+         | exception Bq.Closed -> running := false)
      | None -> (
-         (* 3. New requests in. The short timeout batches reply drains:
-            on loaded single-core hosts, waking per reply costs more in
-            context switches than it saves in latency. *)
-         match Bq.take_timeout ~st ctx.ingress ~timeout_s:0.001 with
+         (* 3. New requests in, or a reply doorbell. The deadline is
+            only a backstop: every event this thread serves wakes it. *)
+         match
+           Bq.take_timeout ~st ~ready:replies_ready ctx.ingress ~timeout_s:1.0
+         with
          | None -> ()
          | Some (raw, conflict, sink, many) -> (
              match Client_msg.request_of_bytes raw with
@@ -178,7 +185,10 @@ let submit ?reply_many ?conflict t ~raw ~reply_to =
 
 let deliver_reply t (reply : Client_msg.reply) =
   match Cmap.find_opt t.routes reply.id.client_id with
-  | Some (idx, sink, many) -> Mpsc.push t.workers.(idx).replies (reply, sink, many)
+  | Some (idx, sink, many) ->
+    let w = t.workers.(idx) in
+    Mpsc.push w.replies (reply, sink, many);
+    Bq.notify w.ingress
   | None -> ()
 
 let ingress_length t =

@@ -9,7 +9,9 @@
 
     Two details keep the pipeline deadlock-free, mirroring the paper's
     design: the ServiceManager never blocks handing a reply over (each
-    worker has an unbounded lock-free MPSC reply queue), and a worker
+    worker has an unbounded lock-free MPSC reply queue, and
+    {!deliver_reply} rings a doorbell that wakes the worker if it is
+    parked on its ingress), and a worker
     whose [try_put] into the bounded RequestQueue fails stops accepting
     new requests while still draining replies — this is the back-pressure
     that ultimately pushes back on clients (Section V-E). *)
@@ -67,11 +69,15 @@ val submit :
 
 val deliver_reply : t -> Msmr_wire.Client_msg.reply -> unit
 (** Called by the ServiceManager: route the reply to the thread owning
-    the client and return immediately. Replies for unknown clients are
-    dropped (the client reconnected elsewhere). *)
+    the client and return immediately, waking that thread if it is
+    parked ({!Msmr_platform.Channel.notify} on its ingress). Replies for
+    unknown clients are dropped (the client reconnected elsewhere). *)
 
 val ingress_length : t -> int
 (** Total queued ingress frames across workers (for statistics). *)
 
 val stop : t -> unit
-(** Close ingress queues and join the worker threads. *)
+(** Close ingress queues and join the worker threads. A worker holding a
+    request it cannot hand to a full RequestQueue drops it once its
+    ingress is closed (or the RequestQueue is), so [stop] returns even
+    when the pipeline behind ClientIO is wedged. *)

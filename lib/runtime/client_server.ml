@@ -1,4 +1,5 @@
 module Worker = Msmr_platform.Worker
+module Thread_state = Msmr_platform.Thread_state
 
 let log_src = Logs.Src.create "msmr.client_server" ~doc:"Client TCP front-end"
 
@@ -42,7 +43,7 @@ let batch_sink_of conn raws =
     try Msmr_wire.Frame.write_many conn.fd raws
     with Unix.Unix_error _ | Sys_error _ -> conn.alive <- false
 
-let conn_reader t conn =
+let conn_reader t conn st =
   (* One closure pair per connection: the ClientIO drain groups replies by
      the sink's physical identity, so the identity must be stable across
      this connection's requests for coalescing to engage. *)
@@ -50,7 +51,12 @@ let conn_reader t conn =
   let reply_many = batch_sink_of conn in
   let continue = ref true in
   while !continue && conn.alive do
-    match Msmr_wire.Frame.read conn.fd with
+    (* Blocked in read(2) on an idle link is not work: [Other], as the
+       replicas' receiver threads account it. *)
+    match
+      Thread_state.enter st Thread_state.Other (fun () ->
+          Msmr_wire.Frame.read conn.fd)
+    with
     | Some raw -> t.submit ~raw ~reply_to ~reply_many
     | None -> continue := false
     | exception (End_of_file | Unix.Unix_error _ | Msmr_wire.Frame.Oversized _)
@@ -60,9 +66,12 @@ let conn_reader t conn =
   conn.alive <- false;
   try Unix.close conn.fd with Unix.Unix_error _ -> ()
 
-let accept_loop t _st =
+let accept_loop t st =
   while Atomic.get t.running do
-    match Unix.accept t.listener with
+    match
+      Thread_state.enter st Thread_state.Other (fun () ->
+          Unix.accept t.listener)
+    with
     | fd, _ ->
       Unix.setsockopt fd Unix.TCP_NODELAY true;
       Msmr_obs.Metrics.incr t.m_accepted;
@@ -73,8 +82,8 @@ let accept_loop t _st =
       Hashtbl.replace t.conns id conn;
       Mutex.unlock t.conns_lock;
       ignore
-        (Worker.spawn ~name:(Printf.sprintf "conn-%d" id) (fun _ ->
-             conn_reader t conn;
+        (Worker.spawn ~name:(Printf.sprintf "conn-%d" id) (fun st ->
+             conn_reader t conn st;
              Mutex.lock t.conns_lock;
              Hashtbl.remove t.conns id;
              Mutex.unlock t.conns_lock))

@@ -55,7 +55,9 @@ type durability =
 type rtx_entry = {
   r_dest : Types.node_id list;
   r_msg : Msg.t;
-  r_cancelled : bool Atomic.t;
+  r_cancelled : Dq.handle;
+      (* one handle across re-schedules: a cancel lets the Retransmitter
+         drop the entry from the top of its heap without a wake-up *)
   r_t0 : int64;
       (* when the retransmission was first scheduled; for the leader's
          Rtx_accept this is the propose time, so cancel time minus it is
@@ -435,21 +437,23 @@ let protocol_apply t (rtx_map : (Paxos.rtx_key, rtx_entry) Hashtbl.t) actions =
           with Bq.Closed -> ())
        | Paxos.Schedule_rtx { key; dest; msg } ->
          let entry =
-           { r_dest = dest; r_msg = msg; r_cancelled = Atomic.make false;
+           { r_dest = dest; r_msg = msg; r_cancelled = Dq.handle ();
              r_t0 = now }
          in
          Hashtbl.replace rtx_map key entry;
          let at_ns =
            Int64.add now (Mclock.ns_of_s t.cfg.retransmit_interval_s)
          in
-         (try ignore (Dq.schedule t.rtx_dq ~at_ns entry)
+         (try
+            ignore (Dq.schedule ~handle:entry.r_cancelled t.rtx_dq ~at_ns entry)
           with Dq.Closed -> ())
        | Paxos.Cancel_rtx key -> (
            match Hashtbl.find_opt rtx_map key with
            | Some entry ->
-             (* Lock-free cancellation: flag only; the Retransmitter drops
-                the entry when its timer fires (Section V-C4). *)
-             Atomic.set entry.r_cancelled true;
+             (* Lock-free cancellation: flag only, no wake-up; the
+                Retransmitter drops the entry once it reaches the top of
+                its heap (Section V-C4). *)
+             Dq.cancel entry.r_cancelled;
              Hashtbl.remove rtx_map key;
              (* A cancelled Rtx_accept means the instance decided:
                 schedule-to-cancel is the leader's commit latency. *)
@@ -1013,7 +1017,7 @@ let retransmitter_loop t st =
   while !continue do
     match Dq.take ~st t.rtx_dq with
     | entry ->
-      if not (Atomic.get entry.r_cancelled) then begin
+      if not (Dq.is_cancelled entry.r_cancelled) then begin
         (* Retransmitted Prepare_ok/Accepted/Accept honour the
            durability gate too: the timer can in principle fire before
            a slow disk has made the original durable. *)
@@ -1022,7 +1026,8 @@ let retransmitter_loop t st =
           Int64.add (Mclock.now_ns ())
             (Mclock.ns_of_s t.cfg.retransmit_interval_s)
         in
-        try ignore (Dq.schedule t.rtx_dq ~at_ns entry)
+        try
+          ignore (Dq.schedule ~handle:entry.r_cancelled t.rtx_dq ~at_ns entry)
         with Dq.Closed -> continue := false
       end
     | exception Dq.Closed -> continue := false
@@ -1857,8 +1862,11 @@ let stop t =
        Fault_controller). *)
     Atomic.set t.am_leader false;
     unregister_metrics t;
-    (match t.client_io with Some cio -> Client_io.stop cio | None -> ());
+    (* RequestQueue first: a ClientIO worker holding a request against a
+       full RequestQueue (a follower whose Batcher is stuck behind an
+       undrained ProposalQueue) only leaves its hand-off loop on Closed. *)
     Bq.close t.request_q;
+    (match t.client_io with Some cio -> Client_io.stop cio | None -> ());
     Bq.close t.proposal_q;
     Bq.close t.dispatcher_q;
     Bq.close t.decision_q;

@@ -58,7 +58,12 @@ val create :
   t
 (** Build and start a replica. [links] must contain one link per peer
     (every node in [0, cfg.n) except [me]). Defaults: 3 ClientIO threads,
-    1 Batcher thread (more is the paper's Section VI-B extension),
+    1 Batcher thread (more is the paper's Section VI-B extension; with
+    [batcher_threads > 1] the Batchers race on the shared RequestQueue,
+    so requests that one client pipelines — several outstanding at once,
+    against the one-at-a-time client contract — may be ordered out of
+    seq order, and the reply cache then drops the older one as a
+    duplicate, unanswered),
     RequestQueue capacity 1000 (the paper's setting), ProposalQueue
     capacity 20.
 

@@ -287,7 +287,7 @@ let test_ch_close_wakes_consumer () =
         | exception Channel.Closed -> Atomic.set witnessed true)
       ()
   in
-  (* Let the consumer spin through its poll budget and park. *)
+  (* Let the consumer park. *)
   Mclock.sleep_s 0.03;
   Channel.close q;
   Thread.join t;
@@ -338,17 +338,54 @@ let test_ch_drain_into () =
   Alcotest.(check int) "closed drain never raises" 0
     (Channel.drain_into q ~buf)
 
-let test_ch_spin_park_accounting () =
+(* The timed waits park in the kernel on both engines: an empty
+   [take_timeout] sleeps out its deadline (and no more), and a put, a
+   [notify] with its [ready] predicate, or a close ends the park early. *)
+let test_ch_timed_park ~lockfree () =
+  let q : int Channel.t =
+    Channel.create ~lockfree ~kind:Channel.Mpmc ~capacity:4
+  in
+  let elapsed_s f =
+    let t0 = Mclock.now_ns () in
+    let v = f () in
+    (v, Mclock.s_of_ns (Int64.sub (Mclock.now_ns ()) t0))
+  in
+  let after s f = Thread.create (fun () -> Mclock.sleep_s s; f ()) () in
   Waitstats.reset ();
-  let q : int Channel.t = ch Channel.Mpmc 4 in
-  let t = Thread.create (fun () -> ignore (Channel.take q)) () in
-  (* The consumer must burn its spin budget and park before the value
-     arrives. *)
-  Mclock.sleep_s 0.05;
-  Channel.put q 42;
-  Thread.join t;
-  Alcotest.(check bool) "spins counted" true (Waitstats.spin_total () > 0);
-  Alcotest.(check bool) "parks counted" true (Waitstats.park_total () > 0)
+  let v, dt = elapsed_s (fun () -> Channel.take_timeout q ~timeout_s:0.05) in
+  Alcotest.(check (option int)) "empty: timeout" None v;
+  Alcotest.(check bool)
+    (Printf.sprintf "not before the deadline (%.4f s)" dt) true (dt >= 0.05);
+  Alcotest.(check bool)
+    (Printf.sprintf "within deadline + 20 ms (%.4f s)" dt) true (dt < 0.07);
+  let p = after 0.03 (fun () -> Channel.put q 42) in
+  let v, dt = elapsed_s (fun () -> Channel.take_timeout q ~timeout_s:5.0) in
+  Thread.join p;
+  Alcotest.(check (option int)) "put wakes" (Some 42) v;
+  Alcotest.(check bool) (Printf.sprintf "woken early (%.3f s)" dt) true
+    (dt < 1.0);
+  if lockfree then
+    Alcotest.(check bool) "ring park counted" true
+      (Waitstats.park_total () > 0);
+  let rung = Atomic.make false in
+  let ready () = Atomic.get rung in
+  let p = after 0.03 (fun () -> Atomic.set rung true; Channel.notify q) in
+  let v, dt =
+    elapsed_s (fun () -> Channel.take_timeout ~ready q ~timeout_s:5.0)
+  in
+  Thread.join p;
+  Alcotest.(check (option int)) "notify + ready wakes empty-handed" None v;
+  Alcotest.(check bool) (Printf.sprintf "rung early (%.3f s)" dt) true
+    (dt < 1.0);
+  let p = after 0.03 (fun () -> Channel.close q) in
+  let (), dt =
+    elapsed_s (fun () ->
+        Alcotest.check_raises "close raises" Channel.Closed (fun () ->
+            ignore (Channel.take_timeout q ~timeout_s:5.0)))
+  in
+  Thread.join p;
+  Alcotest.(check bool) (Printf.sprintf "closed early (%.3f s)" dt) true
+    (dt < 1.0)
 
 let test_ch_concurrent_sum () =
   let q = ch Channel.Mpmc 8 in
@@ -691,8 +728,10 @@ let suite =
     Alcotest.test_case "channel: take_batch_into" `Quick
       test_ch_take_batch_into;
     Alcotest.test_case "channel: drain_into" `Quick test_ch_drain_into;
-    Alcotest.test_case "channel: spin/park accounting" `Quick
-      test_ch_spin_park_accounting;
+    Alcotest.test_case "channel: timed park (ring)" `Quick
+      (test_ch_timed_park ~lockfree:true);
+    Alcotest.test_case "channel: timed park (mutex)" `Quick
+      (test_ch_timed_park ~lockfree:false);
     Alcotest.test_case "channel: concurrent sum" `Quick test_ch_concurrent_sum;
     Alcotest.test_case "backoff: schedule" `Quick test_backoff_schedule;
     Alcotest.test_case "bqueue: take_batch_into" `Quick

@@ -289,6 +289,30 @@ let test_delay_queue_take_blocks_until_due () =
   let dt = Mclock.s_of_ns (Int64.sub (Mclock.now_ns ()) t0) in
   Alcotest.(check bool) "waited" true (dt >= 0.02)
 
+(* [take] parks until the earliest deadline, so a new earlier minimum
+   must wake it; an entry scheduled under a shared, cancelled handle is
+   skipped. *)
+let test_delay_queue_earlier_entry_wakes () =
+  let dq = Delay_queue.create () in
+  let at s = Int64.add (Mclock.now_ns ()) (Mclock.ns_of_s s) in
+  ignore (Delay_queue.schedule dq ~at_ns:(at 5.0) "late");
+  let h = Delay_queue.handle () in
+  let p =
+    Thread.create
+      (fun () ->
+        Mclock.sleep_s 0.02;
+        ignore (Delay_queue.schedule ~handle:h dq ~at_ns:(at 0.01) "cancelled");
+        Delay_queue.cancel h;
+        ignore (Delay_queue.schedule dq ~at_ns:(at 0.02) "soon"))
+      ()
+  in
+  let t0 = Mclock.now_ns () in
+  Alcotest.(check string) "earlier entry" "soon" (Delay_queue.take dq);
+  Thread.join p;
+  let dt = Mclock.s_of_ns (Int64.sub (Mclock.now_ns ()) t0) in
+  Alcotest.(check bool) (Printf.sprintf "woken early (%.3f s)" dt) true
+    (dt < 1.0)
+
 let test_thread_state_accounting () =
   let st = Thread_state.create ~name:"probe" in
   Thread_state.enter st Thread_state.Waiting (fun () -> Mclock.sleep_s 0.03);
@@ -350,6 +374,8 @@ let suite =
     Alcotest.test_case "delay queue: not due" `Quick test_delay_queue_not_due;
     Alcotest.test_case "delay queue: cancel" `Quick test_delay_queue_cancel;
     Alcotest.test_case "delay queue: take blocks" `Quick test_delay_queue_take_blocks_until_due;
+    Alcotest.test_case "delay queue: earlier entry wakes take" `Quick
+      test_delay_queue_earlier_entry_wakes;
     Alcotest.test_case "thread state: accounting" `Quick test_thread_state_accounting;
     Alcotest.test_case "thread state: registry" `Quick test_thread_state_registry;
     Alcotest.test_case "rate meter: counter/mean" `Quick test_counter_and_mean;

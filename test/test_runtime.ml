@@ -414,24 +414,30 @@ let suite =
     Alcotest.test_case "cluster: autotune live" `Quick test_cluster_autotune_live;
   ]
 
+let hub_replicas ?batcher_threads ?request_queue_capacity
+    ?proposal_queue_capacity hub =
+  let cfg = test_cfg 3 in
+  Array.init 3 (fun me ->
+      let links =
+        List.filter_map
+          (fun peer ->
+             if peer = me then None
+             else Some (peer, Transport.Hub.link hub ~me ~peer))
+          [ 0; 1; 2 ]
+      in
+      Replica.create ?batcher_threads ?request_queue_capacity
+        ?proposal_queue_capacity ~cfg ~me ~links
+        ~service:(Service.accumulator ()) ())
+
 (* The paper's §VI-B extension in the live runtime: several Batcher
    threads sharing the RequestQueue still yield a correct, converging
-   cluster with unique batch ids. *)
+   cluster with unique batch ids. Each client keeps one request
+   outstanding, per the client contract: with several Batchers a
+   pipelining client's seqs may be ordered out of order, and the reply
+   cache then drops the older one as a duplicate. *)
 let test_cluster_multi_batcher () =
-  let cfg = test_cfg 3 in
   let hub = Transport.Hub.create ~n:3 () in
-  let replicas =
-    Array.init 3 (fun me ->
-        let links =
-          List.filter_map
-            (fun peer ->
-               if peer = me then None
-               else Some (peer, Transport.Hub.link hub ~me ~peer))
-            [ 0; 1; 2 ]
-        in
-        Replica.create ~batcher_threads:3 ~cfg ~me ~links
-          ~service:(Service.accumulator ()) ())
-  in
+  let replicas = hub_replicas ~batcher_threads:3 hub in
   Fun.protect
     ~finally:(fun () ->
         Array.iter Replica.stop replicas;
@@ -439,29 +445,121 @@ let test_cluster_multi_batcher () =
   @@ fun () ->
   await ~what:"leader" (fun () -> Array.exists Replica.is_leader replicas);
   let leader = Array.get replicas 0 in
-  (* Concurrent clients exercise all three batchers. *)
-  let replies = Msmr_platform.Bounded_queue.create ~capacity:256 in
-  for c = 1 to 6 do
-    for s = 1 to 10 do
-      let raw =
-        Client_msg.request_to_bytes
-          { id = { client_id = c; seq = s }; payload = Bytes.of_string "1" }
-      in
-      Replica.submit leader ~raw ~reply_to:(fun b ->
-          ignore (Msmr_platform.Bounded_queue.try_put replies b))
-    done
-  done;
-  await ~what:"60 executions" (fun () -> Replica.executed_count leader = 60);
+  (* Concurrent closed-loop clients exercise all three batchers. *)
+  let failures = Atomic.make 0 in
+  let clients =
+    List.init 6 (fun i ->
+        Thread.create
+          (fun c ->
+             let replies = Msmr_platform.Bounded_queue.create ~capacity:4 in
+             for s = 1 to 10 do
+               let raw =
+                 Client_msg.request_to_bytes
+                   { id = { client_id = c; seq = s };
+                     payload = Bytes.of_string "1" }
+               in
+               Replica.submit leader ~raw ~reply_to:(fun b ->
+                   ignore (Msmr_platform.Bounded_queue.try_put replies b));
+               match
+                 Msmr_platform.Bounded_queue.take_timeout replies
+                   ~timeout_s:5.0
+               with
+               | Some _ -> ()
+               | None -> Atomic.incr failures
+             done)
+          (i + 1))
+  in
+  List.iter Thread.join clients;
+  Alcotest.(check int) "every request answered" 0 (Atomic.get failures);
   await ~what:"replica convergence" (fun () ->
       Array.for_all (fun r -> Replica.executed_count r = 60) replicas);
   Array.iter
     (fun r -> Alcotest.(check int) "executed" 60 (Replica.executed_count r))
     replicas
 
+(* A follower never drains its ProposalQueue, so writes sent to it fill
+   the RequestQueue and leave its ClientIO workers holding requests they
+   cannot hand off. Stopping it must still return promptly. *)
+let test_stop_follower_with_full_request_queue () =
+  let hub = Transport.Hub.create ~n:3 () in
+  let replicas =
+    hub_replicas ~request_queue_capacity:4 ~proposal_queue_capacity:2 hub
+  in
+  Fun.protect
+    ~finally:(fun () ->
+        Array.iter Replica.stop replicas;
+        Transport.Hub.close hub)
+  @@ fun () ->
+  await ~what:"leader" (fun () -> Array.exists Replica.is_leader replicas);
+  let f =
+    List.find (fun i -> not (Replica.is_leader replicas.(i))) [ 0; 1; 2 ]
+  in
+  let follower = replicas.(f) in
+  (* 600 requests (about 20 B each) overfill the ProposalQueue's two
+     1300 B batches and the 4-slot RequestQueue, yet stay within the
+     ClientIO ingress capacity, so [submit] itself never blocks. *)
+  for c = 1 to 600 do
+    let raw =
+      Client_msg.request_to_bytes
+        { id = { client_id = c; seq = 1 }; payload = Bytes.of_string "1" }
+    in
+    Replica.submit follower ~raw ~reply_to:ignore
+  done;
+  await ~what:"full RequestQueue" (fun () ->
+      (Replica.queue_stats follower).request_queue >= 4);
+  let stopped = Atomic.make false in
+  let t0 = Mclock.now_ns () in
+  ignore
+    (Thread.create (fun () -> Replica.stop follower; Atomic.set stopped true) ());
+  let deadline = Int64.add t0 (Mclock.ns_of_s 2.0) in
+  while
+    (not (Atomic.get stopped))
+    && Int64.compare (Mclock.now_ns ()) deadline < 0
+  do
+    Mclock.sleep_s 0.005
+  done;
+  Alcotest.(check bool) "Replica.stop returned within 2 s" true
+    (Atomic.get stopped)
+
+(* ROADMAP 4(a): an idle cluster is idle. Once the election is over, no
+   stage thread of any replica may account itself Busy for more than 5%
+   of a 0.5 s window — a thread that polls or spins shows up here. *)
+let test_idle_stage_threads_not_busy () =
+  with_cluster @@ fun cluster ->
+  ignore (Replica.Cluster.await_leader cluster);
+  Mclock.sleep_s 0.3;
+  let ours name =
+    List.exists
+      (fun p -> String.starts_with ~prefix:p name)
+      [ "r0/"; "r1/"; "r2/" ]
+  in
+  Msmr_platform.Thread_state.reset_all ();
+  Mclock.sleep_s 0.5;
+  let threads =
+    List.filter (fun (name, _) -> ours name)
+      (Msmr_platform.Thread_state.snapshot_all ())
+  in
+  Alcotest.(check bool) "stage threads found" true (List.length threads > 20);
+  List.iter
+    (fun (name, (tot : Msmr_platform.Thread_state.totals)) ->
+       let total =
+         List.fold_left Int64.add 0L
+           [ tot.busy_ns; tot.blocked_ns; tot.waiting_ns; tot.other_ns ]
+       in
+       let busy = Int64.to_float tot.busy_ns /. Int64.to_float total in
+       Alcotest.(check bool)
+         (Printf.sprintf "%s busy %.1f%% < 5%%" name (100. *. busy))
+         true (busy < 0.05))
+    threads
+
 let suite =
   suite
   @ [ Alcotest.test_case "cluster: multiple batcher threads" `Quick
-        test_cluster_multi_batcher ]
+        test_cluster_multi_batcher;
+      Alcotest.test_case "cluster: stop with full RequestQueue" `Quick
+        test_stop_follower_with_full_request_queue;
+      Alcotest.test_case "cluster: idle stage threads not busy" `Quick
+        test_idle_stage_threads_not_busy ]
 
 (* Randomized fault-injection soak: cut and heal random replicas while
    closed-loop clients keep running; the cluster must keep making
