@@ -26,6 +26,11 @@ let lock_acct ?st t =
     if Mutex.try_lock t.lock then ()
     else Thread_state.enter st Thread_state.Blocked (fun () -> Mutex.lock t.lock)
 
+(* Every condvar wait on the spine is a park, counted process-wide. *)
+let park ?st ?deadline cv t =
+  Waitstats.note_park ();
+  Condvar.wait ?st ?deadline cv t.lock
+
 let with_lock t f =
   Mutex.lock t.lock;
   Fun.protect ~finally:(fun () -> Mutex.unlock t.lock) f
@@ -40,7 +45,7 @@ let put ?st t v =
   Fun.protect ~finally:(fun () -> Mutex.unlock t.lock) @@ fun () ->
   if t.closed then raise Closed;
   while Queue.length t.items >= t.capacity && not t.closed do
-    Condvar.wait ?st t.not_full t.lock
+    park ?st t.not_full t
   done;
   if t.closed then raise Closed;
   Queue.push v t.items;
@@ -60,7 +65,7 @@ let take ?st t =
   lock_acct ?st t;
   Fun.protect ~finally:(fun () -> Mutex.unlock t.lock) @@ fun () ->
   while Queue.is_empty t.items && not t.closed do
-    Condvar.wait ?st t.not_empty t.lock
+    park ?st t.not_empty t
   done;
   if Queue.is_empty t.items then raise Closed;
   let v = Queue.pop t.items in
@@ -90,7 +95,7 @@ let take_timeout ?st ?(ready = fun () -> false) t ~timeout_s =
     else if ready () || Int64.compare (Mclock.now_ns ()) deadline >= 0 then
       None
     else begin
-      Condvar.wait ?st ~deadline t.not_empty t.lock;
+      park ?st ~deadline t.not_empty t;
       loop ()
     end
   in
@@ -99,29 +104,13 @@ let take_timeout ?st ?(ready = fun () -> false) t ~timeout_s =
 (* Broadcast: each parked consumer re-checks its own [ready]. *)
 let notify t = with_lock t (fun () -> Condition.broadcast t.not_empty)
 
-let take_batch ?st t ~max =
-  if max <= 0 then invalid_arg "Bounded_queue.take_batch: max <= 0";
-  lock_acct ?st t;
-  Fun.protect ~finally:(fun () -> Mutex.unlock t.lock) @@ fun () ->
-  while Queue.is_empty t.items && not t.closed do
-    Condvar.wait ?st t.not_empty t.lock
-  done;
-  if Queue.is_empty t.items then raise Closed;
-  let rec drain k acc =
-    if k = 0 || Queue.is_empty t.items then List.rev acc
-    else drain (k - 1) (Queue.pop t.items :: acc)
-  in
-  let batch = drain max [] in
-  Condition.broadcast t.not_full;
-  batch
-
 let take_batch_into ?st t ~buf =
   let max = Array.length buf in
   if max <= 0 then invalid_arg "Bounded_queue.take_batch_into: empty buf";
   lock_acct ?st t;
   Fun.protect ~finally:(fun () -> Mutex.unlock t.lock) @@ fun () ->
   while Queue.is_empty t.items && not t.closed do
-    Condvar.wait ?st t.not_empty t.lock
+    park ?st t.not_empty t
   done;
   if Queue.is_empty t.items then raise Closed;
   let n = ref 0 in

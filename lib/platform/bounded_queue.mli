@@ -1,9 +1,10 @@
 (** Bounded blocking FIFO queue.
 
     This is the message-queue primitive of the threading architecture
-    (Section V of the paper): the RequestQueue, ProposalQueue,
-    DispatcherQueue, DecisionQueue and per-sender SendQueues are all
-    instances. The bound is what makes back-pressure flow control work
+    (Section V of the paper): every edge of the replica's stage spine —
+    RequestQueue, ProposalQueue, DispatcherQueue, DecisionQueue,
+    per-sender SendQueues, LogQueue, ClientIO ingress and the executor
+    lanes — is an instance. The bound is what makes back-pressure flow control work
     (Section V-E): a stage that cannot keep up fills its input queue, and
     producers block (or observe fullness with {!try_put}) and stop pulling
     work from upstream.
@@ -11,7 +12,9 @@
     All operations are thread-safe. Blocking operations optionally take a
     {!Thread_state.t} handle; while blocked on the internal lock the thread
     is accounted as [Blocked], while waiting for items/space it is
-    accounted as [Waiting] — matching the paper's profiling methodology. *)
+    accounted as [Waiting] — matching the paper's profiling methodology.
+    Every wait for items or space is a kernel park on a condition
+    variable ({!Condvar.wait}) and is counted by {!Waitstats.note_park}. *)
 
 type 'a t
 
@@ -63,19 +66,12 @@ val notify : 'a t -> unit
 (** Wake every consumer parked in {!take_timeout} so it re-checks its
     [ready] predicate. Call it after making that predicate true. *)
 
-val take_batch : ?st:Thread_state.t -> 'a t -> max:int -> 'a list
-(** [take_batch q ~max] blocks until at least one element is available,
-    then drains up to [max] elements in FIFO order. Used by the Batcher
-    thread to amortise locking.
-    @raise Closed if the queue is closed and drained. *)
-
 val take_batch_into : ?st:Thread_state.t -> 'a t -> buf:'a option array -> int
-(** Allocation-light {!take_batch}: blocks until at least one element is
-    available, then drains up to [Array.length buf] elements into
-    [buf.(0) .. buf.(n-1)] (as [Some v], remaining slots reset to
-    [None]) and returns [n]. The hottest drain edges (sender, stable
-    storage, batcher) reuse one scratch buffer instead of building a
-    list per drain. @raise Closed if the queue is closed and drained.
+(** Blocks until at least one element is available, then drains up to
+    [Array.length buf] elements in FIFO order into [buf.(0) .. buf.(n-1)]
+    (as [Some v], remaining slots reset to [None]) and returns [n]. The
+    drain edges (sender, stable storage, batcher) reuse one scratch
+    buffer, so a drain takes the lock once and allocates no list. @raise Closed if the queue is closed and drained.
     @raise Invalid_argument if [buf] is empty. *)
 
 val drain_into : 'a t -> buf:'a option array -> int

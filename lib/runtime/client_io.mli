@@ -11,7 +11,7 @@
     design: the ServiceManager never blocks handing a reply over (each
     worker has an unbounded lock-free MPSC reply queue, and
     {!deliver_reply} rings a doorbell that wakes the worker if it is
-    parked on its ingress), and a worker
+    parked on its {!Msmr_platform.Bounded_queue} ingress), and a worker
     whose [try_put] into the bounded RequestQueue fails stops accepting
     new requests while still draining replies — this is the back-pressure
     that ultimately pushes back on clients (Section V-E). *)
@@ -30,17 +30,15 @@ type batch_sink = bytes list -> unit
 
 val create :
   ?name_prefix:string ->
-  ?lockfree:bool ->
   ?on_fresh:
     (Msmr_wire.Client_msg.request -> Service.conflict option -> unit) ->
   pool_size:int ->
-  request_queue:Msmr_wire.Client_msg.request Msmr_platform.Channel.t ->
+  request_queue:Msmr_wire.Client_msg.request Msmr_platform.Bounded_queue.t ->
   reply_cache:Reply_cache.t ->
   unit ->
   t
-(** Starts [pool_size] threads named [<prefix>ClientIO-<i>]. [lockfree]
-    (default true) picks the engine for the per-worker ingress channels;
-    the RequestQueue's engine is the caller's choice at its creation.
+(** Starts [pool_size] threads named [<prefix>ClientIO-<i>], each with
+    its own bounded ingress queue.
 
     [on_fresh] (default none) is the speculative pre-dispatch hook: it
     runs on the worker thread for every fresh request — after the reply
@@ -70,7 +68,7 @@ val submit :
 val deliver_reply : t -> Msmr_wire.Client_msg.reply -> unit
 (** Called by the ServiceManager: route the reply to the thread owning
     the client and return immediately, waking that thread if it is
-    parked ({!Msmr_platform.Channel.notify} on its ingress). Replies for
+    parked ({!Msmr_platform.Bounded_queue.notify} on its ingress). Replies for
     unknown clients are dropped (the client reconnected elsewhere). *)
 
 val ingress_length : t -> int

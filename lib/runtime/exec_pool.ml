@@ -1,126 +1,37 @@
-module Ch = Msmr_platform.Channel
-module Lf = Msmr_platform.Lf_queue
+module Bq = Msmr_platform.Bounded_queue
 module Thread_state = Msmr_platform.Thread_state
-module Waitstats = Msmr_platform.Waitstats
-module Backoff = Msmr_platform.Backoff
 module Counter = Msmr_platform.Rate_meter.Counter
 
-(* Hash-shard variant: one queue per executor, a key's lane IS its
-   executor. This is PR 6's pool, kept verbatim behind [steal = false]
-   (and as the only option on the mutex path, which the goldens pin). *)
-type 'a shard = { exec_qs : 'a Ch.t array }
-
-(* Work-stealing variant. Naively stealing *requests* from a sibling's
-   queue would break the ordering contract (two same-key requests could
-   run concurrently on two executors), so stealing is done at lane
-   granularity:
-
-   - Requests are sharded over [n_lanes >> n_exec] SPSC lane rings; the
-     scheduler is the only producer of every lane.
-   - A lane with work is represented by a unique *token* (the lane id)
-     sitting in exactly one executor's MPMC token ring. The token is
-     minted when [lane_pending] goes 0 -> 1 and dies when the draining
-     executor brings it back to 0; the fetch-and-add transitions make
-     mint/retire atomic, so a lane never has two tokens.
-   - Only the token holder pops the lane. Executors steal *tokens* —
-     half of a victim's ring — so a hot shard's lanes spread over idle
-     siblings while each lane (hence each key) stays single-consumer,
-     in decide order.
-
-   Items are pushed to the lane ring *before* the [lane_pending]
-   increment, so a freshly minted or re-checked token always finds its
-   items published. *)
-type 'a steal_st = {
-  lanes : 'a Lf.Spsc.t array;
-  lane_pending : int Atomic.t array;
-  token_qs : int Lf.Mpmc.t array; (* lane ids; one ring per executor *)
-  work_mu : Mutex.t;
-  work_cv : Condition.t;
-  work_sleepers : int Atomic.t;
-  closed : bool Atomic.t;
-  seeds : int array; (* per-executor LCG state for victim choice *)
-}
-
-type 'a impl = Shard of 'a shard | Steal of 'a steal_st
-
+(* One queue per executor: a key's lane IS its executor. *)
 type 'a t = {
-  n_exec : int;
-  n_lanes : int;
-  impl : 'a impl;
+  exec_qs : 'a Bq.t array;
   (* Quiescence barrier state: dispatched-but-unfinished requests. *)
   pending : int Atomic.t;
   mu : Mutex.t;
   cv : Condition.t;
   dispatched : Counter.t;
   barriers : Counter.t;
-  steals : Counter.t;
-  steal_fails : Counter.t;
   mutable rr : int; (* round-robin lane cursor; scheduler-private *)
 }
 
-(* Lanes per executor in steal mode: enough that a hot executor's lanes
-   can be split among siblings, few enough that the token rings and the
-   scheduler's routing table stay tiny. *)
-let lanes_per_exec = 8
-
 let lane_capacity = 1024
 
-let create ~lockfree ~steal ~n_exec () =
+let create ~n_exec () =
   if n_exec < 1 then invalid_arg "Exec_pool.create: n_exec < 1";
-  (* Stealing rides the lock-free rings; on the pinned mutex path (and
-     with a single executor, where there is nobody to steal from) it
-     degrades to hash-sharding. *)
-  let steal = steal && lockfree && n_exec > 1 in
-  let n_lanes = if steal then lanes_per_exec * n_exec else n_exec in
-  let impl =
-    if steal then
-      Steal
-        {
-          lanes = Array.init n_lanes (fun _ ->
-              Lf.Spsc.create ~capacity:lane_capacity);
-          lane_pending = Array.init n_lanes (fun _ -> Atomic.make 0);
-          (* Every live token could in principle sit in one ring. *)
-          token_qs = Array.init n_exec (fun _ ->
-              Lf.Mpmc.create ~capacity:n_lanes);
-          work_mu = Mutex.create ();
-          work_cv = Condition.create ();
-          work_sleepers = Atomic.make 0;
-          closed = Atomic.make false;
-          seeds = Array.init n_exec (fun i -> (i * 2654435761) lor 1);
-        }
-    else
-      Shard
-        {
-          exec_qs = Array.init n_exec (fun _ ->
-              Ch.create ~lockfree ~kind:Ch.Spsc ~capacity:lane_capacity);
-        }
-  in
   {
-    n_exec;
-    n_lanes;
-    impl;
+    exec_qs = Array.init n_exec (fun _ -> Bq.create ~capacity:lane_capacity);
     pending = Atomic.make 0;
     mu = Mutex.create ();
     cv = Condition.create ();
     dispatched = Counter.create ();
     barriers = Counter.create ();
-    steals = Counter.create ();
-    steal_fails = Counter.create ();
     rr = 0;
   }
 
-let n_exec t = t.n_exec
-let lanes t = t.n_lanes
-let stealing t = match t.impl with Steal _ -> true | Shard _ -> false
+let n_exec t = Array.length t.exec_qs
 let dispatched t = Counter.get t.dispatched
 let barriers t = Counter.get t.barriers
-let steals t = Counter.get t.steals
-let steal_fails t = Counter.get t.steal_fails
-
-let depth t =
-  match t.impl with
-  | Shard s -> Array.fold_left (fun acc q -> acc + Ch.length q) 0 s.exec_qs
-  | Steal s -> Array.fold_left (fun acc l -> acc + Lf.Spsc.length l) 0 s.lanes
+let depth t = Array.fold_left (fun acc q -> acc + Bq.length q) 0 t.exec_qs
 
 (* Executor-side completion: the last in-flight request wakes the
    scheduler if it is blocked in a barrier. The broadcast takes the
@@ -146,213 +57,33 @@ let quiesce t st =
         done;
         Mutex.unlock t.mu)
 
-let wake_executors s =
-  if Atomic.get s.work_sleepers > 0 then begin
-    Mutex.lock s.work_mu;
-    Condition.broadcast s.work_cv;
-    Mutex.unlock s.work_mu
-  end
-
-(* Mint the lane's token into its home executor's ring. The ring is
-   sized for every live token, so the push cannot fail. *)
-let mint_token s ~n_exec lane =
-  ignore (Lf.Mpmc.try_push s.token_qs.(lane mod n_exec) lane);
-  wake_executors s
-
 let send ?st t ~lane v =
   Atomic.incr t.pending;
   Counter.incr t.dispatched;
-  match t.impl with
-  | Shard s -> (
-      match Ch.put ?st s.exec_qs.(lane) v with
-      | () -> ()
-      | exception Ch.Closed ->
-        (* Shutdown mid-dispatch: the request is dropped (as the serial
-           loop drops queued decisions), but the counter must not leak. *)
-        ignore (Atomic.fetch_and_add t.pending (-1)))
-  | Steal s ->
-    if Atomic.get s.closed then ignore (Atomic.fetch_and_add t.pending (-1))
-    else begin
-      let bo = Backoff.create () in
-      let rec push () =
-        if Lf.Spsc.try_push s.lanes.(lane) v then begin
-          (* 0 -> 1: the lane just became non-empty; give it a token. *)
-          if Atomic.fetch_and_add s.lane_pending.(lane) 1 = 0 then
-            mint_token s ~n_exec:t.n_exec lane
-        end
-        else if Atomic.get s.closed then
-          ignore (Atomic.fetch_and_add t.pending (-1))
-        else begin
-          (* Lane ring full: its token is live somewhere, so an executor
-             is (or will be) draining it — back off and retry. *)
-          Waitstats.note_spin ();
-          Backoff.once ?st bo;
-          push ()
-        end
-      in
-      push ()
-    end
+  match Bq.put ?st t.exec_qs.(lane) v with
+  | () -> ()
+  | exception Bq.Closed ->
+    (* Shutdown mid-dispatch: the request is dropped (as the serial loop
+       drops queued decisions), but the counter must not leak. *)
+    ignore (Atomic.fetch_and_add t.pending (-1))
 
 let send_rr ?st t v =
-  t.rr <- (t.rr + 1) mod t.n_lanes;
+  t.rr <- (t.rr + 1) mod n_exec t;
   send ?st t ~lane:t.rr v
 
-(* --- executor bodies ------------------------------------------------ *)
-
-let run_exec t exec v =
-  match exec v with
-  | () -> complete t
-  | exception e ->
-    (* Never leave the barrier counter stuck. *)
-    complete t;
-    raise e
-
-let shard_loop t s ~idx ~exec ~st =
-  let q = s.exec_qs.(idx) in
-  let continue = ref true in
-  while !continue do
-    match Ch.take ~st q with
-    | v -> run_exec t exec v
-    | exception Ch.Closed -> continue := false
-  done
-
-(* How many requests one token grant may drain before the lane is
-   re-queued behind the executor's other tokens (keeps one hot lane from
-   starving the rest of the ring). *)
-let drain_budget = 64
-
-let steal_loop t s ~idx ~exec ~st =
-  let my_tokens = s.token_qs.(idx) in
-  (* Drain [lane] while holding its token. Returns with the token either
-     retired (lane empty) or re-queued (budget exhausted). *)
-  let drain lane =
-    let pend = s.lane_pending.(lane) in
-    let rec go budget =
-      match Lf.Spsc.try_pop s.lanes.(lane) with
-      | None ->
-        (* While [lane_pending] > 0 the token guarantees published items
-           (pushes precede increments and only we decrement), so a miss
-           should mean the lane is drained; re-check defensively. *)
-        if Atomic.get pend > 0 then begin
-          Thread.yield ();
-          go budget
-        end
-      | Some v ->
-        (match exec v with
-         | () -> ()
-         | exception e ->
-           (* Dying executor: unwedge both counters before propagating
-              (the worker failure takes the replica down anyway). *)
-           ignore (Atomic.fetch_and_add pend (-1));
-           complete t;
-           raise e);
-        (* Order matters: retire the lane slot only after the request
-           finished, so a successor token (minted on the next 0 -> 1)
-           can never run a same-lane request concurrently with us. *)
-        let rem = Atomic.fetch_and_add pend (-1) - 1 in
-        complete t;
-        if rem > 0 then
-          if budget > 0 then go (budget - 1)
-          else ignore (Lf.Mpmc.try_push my_tokens lane)
-    in
-    go drain_budget
-  in
-  (* Steal up to half of some victim's tokens: keep one to drain, move
-     the rest into our own ring (and wake siblings — we just became a
-     victim worth robbing). *)
-  let try_steal () =
-    s.seeds.(idx) <- (s.seeds.(idx) * 25214903917 + 11) land max_int;
-    let start = s.seeds.(idx) mod t.n_exec in
-    let found = ref None in
-    for off = 0 to t.n_exec - 1 do
-      if !found = None then begin
-        let v = (start + off) mod t.n_exec in
-        if v <> idx then begin
-          let k = Lf.Mpmc.length s.token_qs.(v) in
-          if k > 0 then begin
-            let want = max 1 ((k + 1) / 2) in
-            let got = ref [] in
-            for _ = 1 to want do
-              match Lf.Mpmc.try_pop s.token_qs.(v) with
-              | Some l -> got := l :: !got
-              | None -> ()
-            done;
-            match List.rev !got with
-            | [] -> ()
-            | first :: rest ->
-              List.iter
-                (fun l -> ignore (Lf.Mpmc.try_push my_tokens l))
-                rest;
-              if rest <> [] then wake_executors s;
-              Counter.incr t.steals;
-              found := Some first
-          end
-        end
-      end
-    done;
-    if !found = None then Counter.incr t.steal_fails;
-    !found
-  in
-  let next_token () =
-    match Lf.Mpmc.try_pop my_tokens with
-    | Some lane -> Some lane
-    | None -> try_steal ()
-  in
-  let continue = ref true in
-  while !continue do
-    match next_token () with
-    | Some lane -> drain lane
-    | None ->
-      if Atomic.get s.closed then continue := false
-      else begin
-        (* Spin briefly, then park. Parking re-checks only our own ring
-           under the mutex: any token minted or re-queued after we bump
-           [work_sleepers] broadcasts, and one minted before is either in
-           our ring (seen by the re-check) or owned by a sibling. *)
-        let rec spin n =
-          if n = 0 then None
-          else begin
-            Waitstats.note_spin ();
-            Thread.yield ();
-            match next_token () with
-            | Some lane -> Some lane
-            | None -> spin (n - 1)
-          end
-        in
-        match spin 16 with
-        | Some lane -> drain lane
-        | None ->
-          if Atomic.get s.closed then continue := false
-          else begin
-            Atomic.incr s.work_sleepers;
-            Mutex.lock s.work_mu;
-            Fun.protect
-              ~finally:(fun () ->
-                Mutex.unlock s.work_mu;
-                Atomic.decr s.work_sleepers)
-              (fun () ->
-                while
-                  (not (Atomic.get s.closed))
-                  && Lf.Mpmc.length my_tokens = 0
-                do
-                  Waitstats.note_park ();
-                  Thread_state.enter st Thread_state.Waiting (fun () ->
-                      Condition.wait s.work_cv s.work_mu)
-                done)
-          end
-      end
-  done
-
 let executor_loop t ~idx ~exec ~st =
-  match t.impl with
-  | Shard s -> shard_loop t s ~idx ~exec ~st
-  | Steal s -> steal_loop t s ~idx ~exec ~st
+  let q = t.exec_qs.(idx) in
+  let continue = ref true in
+  while !continue do
+    match Bq.take ~st q with
+    | v -> (
+        match exec v with
+        | () -> complete t
+        | exception e ->
+          (* Never leave the barrier counter stuck. *)
+          complete t;
+          raise e)
+    | exception Bq.Closed -> continue := false
+  done
 
-let close t =
-  match t.impl with
-  | Shard s -> Array.iter Ch.close s.exec_qs
-  | Steal s ->
-    Atomic.set s.closed true;
-    Mutex.lock s.work_mu;
-    Condition.broadcast s.work_cv;
-    Mutex.unlock s.work_mu
+let close t = Array.iter Bq.close t.exec_qs

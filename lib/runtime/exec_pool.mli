@@ -1,24 +1,15 @@
 (** Parallel ServiceManager executor pool.
 
     The scheduler thread (the replica's DecisionQueue consumer) routes
-    each decided request to a *lane* — [Hashtbl.hash key mod lanes] —
-    and the pool runs the lanes on [n_exec] executor threads. Two
-    variants behind one interface:
-
-    - hash-shard ([steal = false], or whenever [lockfree = false] /
-      [n_exec = 1]): lane = executor, one queue each — PR 6's pool,
-      pinned by the goldens on the mutex path.
-    - work-stealing ([steal = true] on the lock-free path): many more
-      lanes than executors, each lane an SPSC ring owned by whichever
-      executor holds its unique *token*; idle executors steal half of a
-      random victim's tokens. A zipfian-hot shard therefore spreads over
-      idle siblings — the convoy the paper's single-queue profile shows
-      — while same-key requests still execute one at a time, in decide
-      order, because only the token holder drains a lane.
+    each decided request to a *lane* — [Hashtbl.hash key mod n_exec] —
+    and the pool runs [n_exec] executor threads, one per lane, each
+    draining its own {!Msmr_platform.Bounded_queue} (static
+    hash-sharding, the class-based assignment of Early Scheduling in
+    Parallel SMR).
 
     Invariants relied on by the replica:
     - per-lane execution order = dispatch order (so per-key decide
-      order), in both variants;
+      order);
     - {!quiesce} returns only when every {!send}-dispatched request has
       finished executing (snapshots, state install, multi-key/global
       commands);
@@ -27,17 +18,11 @@
 
 type 'a t
 
-val create : lockfree:bool -> steal:bool -> n_exec:int -> unit -> 'a t
+val create : n_exec:int -> unit -> 'a t
 (** @raise Invalid_argument if [n_exec < 1]. *)
 
 val n_exec : 'a t -> int
-
-val lanes : 'a t -> int
-(** Route keys with [Hashtbl.hash key mod lanes t]. *)
-
-val stealing : 'a t -> bool
-(** Whether the work-stealing variant is active (it requires
-    [lockfree && steal && n_exec > 1]). *)
+(** Lanes = executors: route keys with [Hashtbl.hash key mod n_exec t]. *)
 
 val send : ?st:Msmr_platform.Thread_state.t -> 'a t -> lane:int -> 'a -> unit
 (** Dispatch to a lane (blocking under back-pressure). During shutdown
@@ -67,9 +52,3 @@ val depth : 'a t -> int
 
 val dispatched : 'a t -> int
 val barriers : 'a t -> int
-
-val steals : 'a t -> int
-(** Token-steal operations that obtained at least one token. *)
-
-val steal_fails : 'a t -> int
-(** Full victim scans that found nothing to steal. *)

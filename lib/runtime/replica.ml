@@ -1,4 +1,4 @@
-module Bq = Msmr_platform.Channel
+module Bq = Msmr_platform.Bounded_queue
 module Waitstats = Msmr_platform.Waitstats
 module Dq = Msmr_platform.Delay_queue
 module Worker = Msmr_platform.Worker
@@ -94,11 +94,9 @@ type stable = {
    consumes the DecisionQueue in decide order and routes each request to
    a lane of the {!Exec_pool} by hashing its conflict key, so commands on
    the same key always land on the same lane and keep their decide order,
-   while commands on different keys run concurrently. With [Config.steal]
-   the pool runs many lanes over the executors and idle executors steal
-   lane tokens from busy siblings; without it a lane is an executor
-   (static hash-sharding). Global / multi-lane commands and snapshots
-   first quiesce the pool. *)
+   while commands on different keys run concurrently. A lane is an
+   executor (static hash-sharding). Global / multi-lane commands and
+   snapshots first quiesce the pool. *)
 (* Work items flowing through the executor lanes. [W_exec] is the
    ordered path; the other three belong to the speculative path
    (Config.speculate, DESIGN.md section 16). All items for one conflict
@@ -1174,9 +1172,9 @@ let service_manager_loop t st =
       then take_snapshot t ~iid
   done
 
-(* --- Executor pool (see {!Exec_pool} for the two variants) ----------- *)
+(* --- Executor pool (see {!Exec_pool}) ----------------------------------- *)
 
-let route pool key = Hashtbl.hash key mod Exec_pool.lanes pool
+let route pool key = Hashtbl.hash key mod Exec_pool.n_exec pool
 
 (* At-most-once, decided by the scheduler in decide order (see
    [exec_frontier]). Returns [true] when the request is fresh and must be
@@ -1425,8 +1423,6 @@ let metric_names =
     "msmr_replica_executor_queue_depth";
     "msmr_replica_executor_dispatched";
     "msmr_replica_executor_barriers";
-    "msmr_executor_steal_total";
-    "msmr_executor_steal_fail_total";
     "msmr_executor_spec_dispatch_total";
     "msmr_executor_spec_confirm_total";
     "msmr_executor_spec_abort_total";
@@ -1487,14 +1483,6 @@ let register_metrics t =
       match t.exec_pool with
       | Some c -> fi (Exec_pool.barriers c.pool)
       | None -> 0.);
-  g "msmr_executor_steal_total" (fun () ->
-      match t.exec_pool with
-      | Some c -> fi (Exec_pool.steals c.pool)
-      | None -> 0.);
-  g "msmr_executor_steal_fail_total" (fun () ->
-      match t.exec_pool with
-      | Some c -> fi (Exec_pool.steal_fails c.pool)
-      | None -> 0.);
   let spec f =
     match t.exec_pool with
     | Some { spec = Some sc; _ } -> f sc
@@ -1515,12 +1503,10 @@ let register_metrics t =
           let n = Atomic.get sc.lead_n in
           if n = 0 then 0.
           else fi (Atomic.get sc.lead_ns_sum) /. fi n /. 1e9));
-  (* Process-wide spin/park accounting for the lock-free channels.
-     Registered with process-global labels: re-registration by another
-     replica is a no-op replace of an identical closure, and the gauges
-     are deliberately not removed on [stop]. *)
-  Msmr_obs.Metrics.gauge ~labels:[ ("mode", "live") ] "msmr_queue_spin_total"
-    (fun () -> fi (Waitstats.spin_total ()));
+  (* Process-wide park accounting for the spine queues. Registered with
+     process-global labels: re-registration by another replica is a no-op
+     replace of an identical closure, and the gauge is deliberately not
+     removed on [stop]. *)
   Msmr_obs.Metrics.gauge ~labels:[ ("mode", "live") ] "msmr_queue_park_total"
     (fun () -> fi (Waitstats.park_total ()));
   g "msmr_replica_sender_flushes" (fun () -> fi (Counter.get t.sender_flushes));
@@ -1613,8 +1599,7 @@ let create ?(client_io_threads = 3) ?(batcher_threads = 1)
       Some
         { log_q =
             (* Protocol + Retransmitter produce, StableStorage consumes. *)
-            Bq.create ~lockfree:cfg.Config.lockfree ~kind:Bq.Mpmc
-              ~capacity:8192;
+            Bq.create ~capacity:8192;
           ss_lsn = Atomic.make 0;
           ss_stall = Atomic.make false;
           ss_hold = Msmr_obs.Metrics.histogram ~labels "msmr_replica_durable_hold_s" }
@@ -1637,39 +1622,15 @@ let create ?(client_io_threads = 3) ?(batcher_threads = 1)
           ?tuned_bsz:(if cfg.Config.auto_tune then Some tuned_bsz else None)
           cfg ~src:(me + (cfg.Config.n * idx)))
   in
-  (* Producer/consumer discipline per edge (lock-free mode): receivers,
-     FD, batchers and the scheduler all feed the dispatcher (MPMC); N
-     batchers feed the Protocol thread (SPSC when N = 1); ClientIO
-     workers share the RequestQueue with the batchers (MPMC); the
-     DecisionQueue is strictly Protocol -> scheduler (SPSC); send, proxy
-     and log queues have several producer threads (MPMC). *)
-  let lf = cfg.Config.lockfree in
   let t =
     { cfg; me; gid; service;
-      dispatcher_q = Bq.create ~lockfree:lf ~kind:Bq.Mpmc ~capacity:4096;
-      proposal_q =
-        Bq.create ~lockfree:lf
-          ~kind:(if max 1 batcher_threads = 1 then Bq.Spsc else Bq.Mpmc)
-          ~capacity:proposal_queue_capacity;
-      request_q =
-        Bq.create ~lockfree:lf ~kind:Bq.Mpmc ~capacity:request_queue_capacity;
-      decision_q =
-        (* Lease mode adds client threads as read producers (submit_read)
-           and speculation adds the ClientIO workers (the pre-dispatch
-           hook); otherwise the Protocol thread is the only producer. *)
-        Bq.create ~lockfree:lf
-          ~kind:
-            (if cfg.Config.lease_enabled || cfg.Config.speculate then
-               Bq.Mpmc
-             else Bq.Spsc)
-          ~capacity:1024;
-      send_qs =
-        Array.init cfg.Config.n (fun _ ->
-            Bq.create ~lockfree:lf ~kind:Bq.Mpmc ~capacity:4096);
+      dispatcher_q = Bq.create ~capacity:4096;
+      proposal_q = Bq.create ~capacity:proposal_queue_capacity;
+      request_q = Bq.create ~capacity:request_queue_capacity;
+      decision_q = Bq.create ~capacity:1024;
+      send_qs = Array.init cfg.Config.n (fun _ -> Bq.create ~capacity:4096);
       proxy_q =
-        (if proxy_leaders > 0 then
-           Some (Bq.create ~lockfree:lf ~kind:Bq.Mpmc ~capacity:4096)
-         else None);
+        (if proxy_leaders > 0 then Some (Bq.create ~capacity:4096) else None);
       rtx_dq = Dq.create ();
       links;
       store;
@@ -1680,9 +1641,7 @@ let create ?(client_io_threads = 3) ?(batcher_threads = 1)
       exec_pool =
         (if executor_threads > 1 then
            Some
-             { pool =
-                 Exec_pool.create ~lockfree:lf ~steal:cfg.Config.steal
-                   ~n_exec:executor_threads ();
+             { pool = Exec_pool.create ~n_exec:executor_threads ();
                exec_frontier = Hashtbl.create 256;
                conflict_cache = Cmap.create ~shards:16 ();
                spec =
@@ -1774,7 +1733,7 @@ let create ?(client_io_threads = 3) ?(batcher_threads = 1)
   let cio =
     Client_io.create
       ~name_prefix:(Printf.sprintf "r%d/" me)
-      ~lockfree:lf ?on_fresh ~pool_size:client_io_threads
+      ?on_fresh ~pool_size:client_io_threads
       ~request_queue:t.request_q ~reply_cache:t.reply_cache ()
   in
   t.client_io <- Some cio;

@@ -5,10 +5,11 @@ type frame = {
   f_key : string;
   f_lane : int;
   f_dispatch_ns : int64;
-  (* Written by the executor that runs the speculative execution, read by
-     the (possibly different) executor that later applies the abort. The
-     lane FIFO orders the two accesses; the Atomic makes the hand-off
-     safe under work stealing without relying on the ring's fences. *)
+  (* Written by the speculative execution, read by a later abort. Both
+     run on the frame's lane, whose FIFO orders them, but the frame is
+     allocated on the scheduler thread and shared with an executor: the
+     Atomic makes that cross-thread hand-off explicit instead of leaning
+     on the lane queue's mutex for the memory ordering. *)
   f_undo : (unit -> unit) option Atomic.t;
 }
 

@@ -1,10 +1,12 @@
 (* DSCheck-style bounded exhaustive interleaving checker.
 
-   The lock-free ring cores ([Msmr_platform.Lf_queue]) are functors over
-   an ATOMIC signature; instantiating them with {!Traced_atomic} makes
-   every atomic access a scheduling point. {!explore} then enumerates
-   thread interleavings by depth-first search: each run follows a
-   replayed prefix of scheduling choices and default-schedules the rest,
+   It checks {!Msmr_runtime.Spec_ledger}: the test_runtime.ml cases
+   [spec ledger: model-checked confirm] and [... rollback] run the
+   scheduler / executor / reader hand-off of a speculative frame under
+   every schedule. Their shared register is a {!Traced_atomic}, so every
+   access to it is a scheduling point. {!explore} enumerates thread
+   interleavings by depth-first search: each run follows a replayed
+   prefix of scheduling choices and default-schedules the rest,
    recording every choice point; backtracking picks the deepest point
    with an untried runnable thread. Scenarios are deterministic apart
    from scheduling, so replaying a prefix reproduces the same state —

@@ -2,7 +2,6 @@ let () =
   Alcotest.run "msmr"
     [
       ("platform", Test_platform.suite);
-      ("lockfree", Test_lockfree.suite);
       ("wire", Test_wire.suite);
       ("consensus", Test_consensus.suite);
       ("runtime", Test_runtime.suite);

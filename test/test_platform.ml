@@ -98,13 +98,106 @@ let test_bq_close_drains () =
   Alcotest.check_raises "put raises" Bounded_queue.Closed (fun () ->
       Bounded_queue.put q 3)
 
-let test_bq_take_batch () =
-  let q = Bounded_queue.create ~capacity:10 in
+(* The batch drain: FIFO prefix bounded by the buffer, a [None] tail,
+   drain-then-raise after close. *)
+let test_bq_take_batch_into () =
+  let q = Bounded_queue.create ~capacity:16 in
   List.iter (Bounded_queue.put q) [ 1; 2; 3; 4; 5 ];
-  Alcotest.(check (list int)) "batch of 3" [ 1; 2; 3 ]
-    (Bounded_queue.take_batch q ~max:3);
-  Alcotest.(check (list int)) "rest" [ 4; 5 ]
-    (Bounded_queue.take_batch q ~max:10)
+  let buf = Array.make 3 None in
+  Alcotest.(check int) "burst bounded by buf" 3
+    (Bounded_queue.take_batch_into q ~buf);
+  Alcotest.(check (list int)) "fifo prefix" [ 1; 2; 3 ]
+    (List.filter_map Fun.id (Array.to_list buf));
+  let buf2 = Array.make 8 None in
+  Alcotest.(check int) "rest" 2 (Bounded_queue.take_batch_into q ~buf:buf2);
+  Alcotest.(check (list int)) "values + None tail" [ 4; 5 ]
+    (List.filter_map Fun.id (Array.to_list buf2));
+  Bounded_queue.put q 9;
+  Bounded_queue.close q;
+  Alcotest.(check int) "close drains" 1
+    (Bounded_queue.take_batch_into q ~buf:buf2);
+  Alcotest.check_raises "then raises" Bounded_queue.Closed (fun () ->
+      ignore (Bounded_queue.take_batch_into q ~buf:buf2))
+
+let test_bq_drain_into () =
+  let q = Bounded_queue.create ~capacity:16 in
+  let buf = Array.make 4 None in
+  Alcotest.(check int) "empty" 0 (Bounded_queue.drain_into q ~buf);
+  List.iter (Bounded_queue.put q) [ 1; 2 ];
+  Alcotest.(check int) "available" 2 (Bounded_queue.drain_into q ~buf);
+  Alcotest.(check (list int)) "values" [ 1; 2 ]
+    (List.filter_map Fun.id (Array.to_list buf));
+  Bounded_queue.close q;
+  Alcotest.(check int) "closed never raises" 0
+    (Bounded_queue.drain_into q ~buf)
+
+(* The timed wait parks in the kernel: an empty [take_timeout] sleeps out
+   its deadline (and no more), the park is counted, and a put, a
+   [notify] with its [ready] predicate, or a close ends the park early. *)
+let test_bq_timed_park () =
+  let q : int Bounded_queue.t = Bounded_queue.create ~capacity:4 in
+  let elapsed_s f =
+    let t0 = Mclock.now_ns () in
+    let v = f () in
+    (v, Mclock.s_of_ns (Int64.sub (Mclock.now_ns ()) t0))
+  in
+  let after s f = Thread.create (fun () -> Mclock.sleep_s s; f ()) () in
+  Waitstats.reset ();
+  let v, dt =
+    elapsed_s (fun () -> Bounded_queue.take_timeout q ~timeout_s:0.05)
+  in
+  Alcotest.(check (option int)) "empty: timeout" None v;
+  Alcotest.(check bool)
+    (Printf.sprintf "not before the deadline (%.4f s)" dt) true (dt >= 0.05);
+  Alcotest.(check bool)
+    (Printf.sprintf "within deadline + 20 ms (%.4f s)" dt) true (dt < 0.07);
+  Alcotest.(check bool) "park counted" true (Waitstats.park_total () > 0);
+  let p = after 0.03 (fun () -> Bounded_queue.put q 42) in
+  let v, dt =
+    elapsed_s (fun () -> Bounded_queue.take_timeout q ~timeout_s:5.0)
+  in
+  Thread.join p;
+  Alcotest.(check (option int)) "put wakes" (Some 42) v;
+  Alcotest.(check bool) (Printf.sprintf "woken early (%.3f s)" dt) true
+    (dt < 1.0);
+  let rung = Atomic.make false in
+  let ready () = Atomic.get rung in
+  let p = after 0.03 (fun () -> Atomic.set rung true; Bounded_queue.notify q) in
+  let v, dt =
+    elapsed_s (fun () -> Bounded_queue.take_timeout ~ready q ~timeout_s:5.0)
+  in
+  Thread.join p;
+  Alcotest.(check (option int)) "notify + ready wakes empty-handed" None v;
+  Alcotest.(check bool) (Printf.sprintf "rung early (%.3f s)" dt) true
+    (dt < 1.0);
+  let p = after 0.03 (fun () -> Bounded_queue.close q) in
+  let (), dt =
+    elapsed_s (fun () ->
+        Alcotest.check_raises "close raises" Bounded_queue.Closed (fun () ->
+            ignore (Bounded_queue.take_timeout q ~timeout_s:5.0)))
+  in
+  Thread.join p;
+  Alcotest.(check bool) (Printf.sprintf "closed early (%.3f s)" dt) true
+    (dt < 1.0)
+
+let test_backoff_schedule () =
+  let bo =
+    Backoff.create ~yield_rounds:2 ~min_sleep_s:1e-6 ~max_sleep_s:4e-6 ()
+  in
+  Alcotest.(check (float 0.)) "yield phase" 0. (Backoff.current_sleep_s bo);
+  Backoff.once bo;
+  Backoff.once bo;
+  Alcotest.(check (float 1e-12)) "first sleep" 1e-6
+    (Backoff.current_sleep_s bo);
+  Backoff.once bo;
+  Alcotest.(check (float 1e-12)) "doubles" 2e-6 (Backoff.current_sleep_s bo);
+  Backoff.once bo;
+  Backoff.once bo;
+  Backoff.once bo;
+  Alcotest.(check (float 1e-12)) "capped" 4e-6 (Backoff.current_sleep_s bo);
+  Backoff.reset bo;
+  Alcotest.(check (float 0.)) "reset to yields" 0.
+    (Backoff.current_sleep_s bo)
 
 let test_bq_take_timeout () =
   let q : int Bounded_queue.t = Bounded_queue.create ~capacity:4 in
@@ -351,7 +444,76 @@ let test_worker_failure_capture () =
   | Some (Failure msg) -> Alcotest.(check string) "msg" "boom" msg
   | _ -> Alcotest.fail "expected captured failure"
 
-let qsuite = List.map QCheck_alcotest.to_alcotest [ prop_heap_sorts; prop_cmap_models_hashtbl ]
+(* QCheck iteration count for the multi-threaded queue property; the
+   MSMR_QCHECK_COUNT environment variable raises it (scripts/verify.sh's
+   stress profile). *)
+let stress_count =
+  match Sys.getenv_opt "MSMR_QCHECK_COUNT" with
+  | Some s -> ( try max 1 (int_of_string (String.trim s)) with _ -> 30)
+  | None -> 30
+
+(* Producers and consumers on real threads, over small capacities so
+   both [put] and [take] park: every element is taken exactly once, and
+   each consumer sees any one producer's elements in that producer's
+   order. *)
+let prop_bq_exactly_once =
+  QCheck.Test.make ~name:"bqueue mpmc: exactly-once, per-producer order"
+    ~count:stress_count
+    QCheck.(triple (int_range 1 3) (int_range 0 60) (int_range 1 8))
+    (fun (n_producers, per, capacity) ->
+       let q = Bounded_queue.create ~capacity in
+       let out = Array.init 2 (fun _ -> ref []) in
+       let consumers =
+         Array.map
+           (fun acc ->
+              Thread.create
+                (fun () ->
+                   try
+                     while true do
+                       acc := Bounded_queue.take q :: !acc
+                     done
+                   with Bounded_queue.Closed -> ())
+                ())
+           out
+       in
+       let producers =
+         List.init n_producers (fun p ->
+             Thread.create
+               (fun () ->
+                  for seq = 0 to per - 1 do
+                    Bounded_queue.put q (p, seq)
+                  done)
+               ())
+       in
+       List.iter Thread.join producers;
+       Bounded_queue.close q;
+       Array.iter Thread.join consumers;
+       let rec increasing = function
+         | a :: (b :: _ as tl) -> a < b && increasing tl
+         | _ -> true
+       in
+       let ordered acc =
+         List.for_all
+           (fun p ->
+              increasing
+                (List.filter_map
+                   (fun (p', s) -> if p' = p then Some s else None)
+                   (List.rev !acc)))
+           (List.init n_producers Fun.id)
+       in
+       let all =
+         List.sort compare (List.concat_map (fun acc -> !acc) (Array.to_list out))
+       in
+       let expected =
+         List.concat_map
+           (fun p -> List.init per (fun s -> (p, s)))
+           (List.init n_producers Fun.id)
+       in
+       Array.for_all ordered out && all = expected)
+
+let qsuite =
+  List.map QCheck_alcotest.to_alcotest
+    [ prop_heap_sorts; prop_cmap_models_hashtbl; prop_bq_exactly_once ]
 
 let suite =
   [
@@ -362,9 +524,12 @@ let suite =
     Alcotest.test_case "bqueue: blocking put" `Quick test_bq_blocking_put;
     Alcotest.test_case "bqueue: close wakes consumer" `Quick test_bq_close_wakes_consumer;
     Alcotest.test_case "bqueue: close drains" `Quick test_bq_close_drains;
-    Alcotest.test_case "bqueue: take_batch" `Quick test_bq_take_batch;
+    Alcotest.test_case "bqueue: take_batch_into" `Quick test_bq_take_batch_into;
+    Alcotest.test_case "bqueue: drain_into" `Quick test_bq_drain_into;
     Alcotest.test_case "bqueue: take_timeout" `Quick test_bq_take_timeout;
+    Alcotest.test_case "bqueue: timed park" `Quick test_bq_timed_park;
     Alcotest.test_case "bqueue: concurrent sum" `Quick test_bq_concurrent_sum;
+    Alcotest.test_case "backoff: schedule" `Quick test_backoff_schedule;
     Alcotest.test_case "mpsc: fifo" `Quick test_mpsc_fifo;
     Alcotest.test_case "mpsc: concurrent producers" `Quick test_mpsc_concurrent;
     Alcotest.test_case "cmap: basic" `Quick test_cmap_basic;

@@ -799,37 +799,76 @@ let test_cluster_executors_global_service () =
     (string_of_int (Atomic.get sum))
     (Bytes.to_string (Client.call probe (Bytes.of_string "0")))
 
-(* The mutex spine ([lockfree = false]) and the lock-free spine with
-   work-stealing executors must be observably identical: same replies,
-   same final replicated state for the same workload. *)
-let test_cluster_lockfree_matches_mutex () =
-  let run ~lockfree ~steal =
-    let cfg = { (test_cfg 3) with Config.lockfree; steal } in
-    with_cluster ~cfg ~executor_threads:4 ~service:(fun () -> Kv.make ())
-    @@ fun cluster ->
-    ignore (Replica.Cluster.await_leader cluster);
-    let client = Client.create ~cluster ~client_id:1 () in
-    for i = 1 to 40 do
-      let key = Printf.sprintf "k%d" (i mod 5) in
-      match kv_call client (Kv.Incr { key; by = i }) with
-      | Kv.Ok_int _ -> ()
-      | _ -> Alcotest.fail "expected Ok_int"
-    done;
-    match kv_call client (Kv.List_keys "") with
-    | Kv.Ok_keys keys ->
-      List.sort compare
-        (List.map
-           (fun k ->
-             match kv_call client (Kv.Get k) with
-             | Kv.Ok_value (Some v) -> (k, v)
-             | _ -> Alcotest.fail "missing key")
-           keys)
-    | _ -> Alcotest.fail "expected Ok_keys"
+(* The executor pool on its own: [n_exec] executor threads, a scheduler
+   that dispatches [(key, seq)] pairs by key hash, then a quiesce. *)
+let run_pool ~n_exec ~sends check =
+  let pool = Exec_pool.create ~n_exec () in
+  let mu = Mutex.create () in
+  let seen : (int, int list ref) Hashtbl.t = Hashtbl.create 16 in
+  let exec (key, seq) =
+    Mutex.lock mu;
+    (match Hashtbl.find_opt seen key with
+    | Some l -> l := seq :: !l
+    | None -> Hashtbl.add seen key (ref [ seq ]));
+    Mutex.unlock mu
   in
-  let mutex_state = run ~lockfree:false ~steal:false in
-  let lf_state = run ~lockfree:true ~steal:true in
-  Alcotest.(check (list (pair string string)))
-    "same final state" mutex_state lf_state
+  let threads =
+    List.init n_exec (fun i ->
+        Thread.create
+          (fun () ->
+            let st =
+              Msmr_platform.Thread_state.create
+                ~name:(Printf.sprintf "t-exec-%d" i)
+            in
+            Exec_pool.executor_loop pool ~idx:i ~exec ~st;
+            Msmr_platform.Thread_state.unregister st)
+          ())
+  in
+  sends pool;
+  let st = Msmr_platform.Thread_state.create ~name:"t-sched" in
+  Exec_pool.quiesce pool st;
+  Msmr_platform.Thread_state.unregister st;
+  check pool seen;
+  Exec_pool.close pool;
+  List.iter Thread.join threads
+
+(* Quiesce returned, so every dispatched request has run: each key saw
+   all [per_key] of its requests, in dispatch order. *)
+let check_per_key_order ~per_key seen =
+  Hashtbl.iter
+    (fun key l ->
+      let l = List.rev !l in
+      List.iteri
+        (fun i s ->
+          if i <> s then
+            Alcotest.failf "key %d executed out of order (%d at %d)" key s i)
+        l;
+      Alcotest.(check int)
+        (Printf.sprintf "key %d complete" key)
+        per_key (List.length l))
+    seen
+
+let send_keys pool ~n_keys ~per_key =
+  for seq = 0 to per_key - 1 do
+    for key = 0 to n_keys - 1 do
+      let lane = Hashtbl.hash key mod Exec_pool.n_exec pool in
+      Exec_pool.send pool ~lane (key, seq)
+    done
+  done
+
+let test_pool_shard_order () =
+  run_pool ~n_exec:3 ~sends:(send_keys ~n_keys:8 ~per_key:100)
+    (fun pool seen ->
+      Alcotest.(check int) "all keys ran" 8 (Hashtbl.length seen);
+      check_per_key_order ~per_key:100 seen;
+      Alcotest.(check int) "all dispatched" 800 (Exec_pool.dispatched pool))
+
+let test_pool_quiesce_single_exec () =
+  run_pool ~n_exec:1 ~sends:(send_keys ~n_keys:2 ~per_key:20)
+    (fun pool seen ->
+      Alcotest.(check int) "one barrier" 1 (Exec_pool.barriers pool);
+      Alcotest.(check int) "nothing queued" 0 (Exec_pool.depth pool);
+      check_per_key_order ~per_key:20 seen)
 
 (* ------------------------------------------------------------------ *)
 (* Fault controller: crash-shaped kill/restart of live replicas. *)
@@ -1099,8 +1138,10 @@ let suite =
         test_cluster_executors_pipelined_client;
       Alcotest.test_case "cluster: executors suppress duplicates" `Quick
         test_cluster_executors_duplicate_suppression;
-      Alcotest.test_case "cluster: lock-free spine matches mutex spine" `Quick
-        test_cluster_lockfree_matches_mutex;
+      Alcotest.test_case "pool: shard per-key order" `Quick
+        test_pool_shard_order;
+      Alcotest.test_case "pool: quiesce with one executor" `Quick
+        test_pool_quiesce_single_exec;
       Alcotest.test_case "cluster: executors quiesce for snapshots" `Quick
         test_cluster_executors_snapshot_quiescence;
       Alcotest.test_case "cluster: executors with Global-only service" `Quick
