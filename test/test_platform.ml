@@ -98,8 +98,23 @@ let test_bq_close_drains () =
   Alcotest.check_raises "put raises" Bounded_queue.Closed (fun () ->
       Bounded_queue.put q 3)
 
-(* The batch drain: FIFO prefix bounded by the buffer, a [None] tail,
-   drain-then-raise after close. *)
+(* The batch take: a burst is the FIFO prefix bounded by the buffer, the
+   next burst is the rest. *)
+let test_bq_take_batch () =
+  let q = Bounded_queue.create ~capacity:10 in
+  List.iter (Bounded_queue.put q) [ 1; 2; 3; 4; 5 ];
+  let buf = Array.make 3 None in
+  Alcotest.(check int) "burst bounded by buf" 3
+    (Bounded_queue.take_batch_into q ~buf);
+  Alcotest.(check (list int)) "fifo prefix" [ 1; 2; 3 ]
+    (List.filter_map Fun.id (Array.to_list buf));
+  let buf2 = Array.make 10 None in
+  Alcotest.(check int) "rest" 2 (Bounded_queue.take_batch_into q ~buf:buf2);
+  Alcotest.(check (list int)) "rest values" [ 4; 5 ]
+    (List.filter_map Fun.id (Array.to_list buf2))
+
+(* The buffer contract: a [None] tail after the values, drain-then-raise
+   after close, and an empty buffer is refused. *)
 let test_bq_take_batch_into () =
   let q = Bounded_queue.create ~capacity:16 in
   List.iter (Bounded_queue.put q) [ 1; 2; 3; 4; 5 ];
@@ -108,6 +123,9 @@ let test_bq_take_batch_into () =
     (Bounded_queue.take_batch_into q ~buf);
   Alcotest.(check (list int)) "fifo prefix" [ 1; 2; 3 ]
     (List.filter_map Fun.id (Array.to_list buf));
+  Alcotest.check_raises "empty buf refused"
+    (Invalid_argument "Bounded_queue.take_batch_into: empty buf") (fun () ->
+      ignore (Bounded_queue.take_batch_into q ~buf:[||]));
   let buf2 = Array.make 8 None in
   Alcotest.(check int) "rest" 2 (Bounded_queue.take_batch_into q ~buf:buf2);
   Alcotest.(check (list int)) "values + None tail" [ 4; 5 ]
@@ -524,6 +542,7 @@ let suite =
     Alcotest.test_case "bqueue: blocking put" `Quick test_bq_blocking_put;
     Alcotest.test_case "bqueue: close wakes consumer" `Quick test_bq_close_wakes_consumer;
     Alcotest.test_case "bqueue: close drains" `Quick test_bq_close_drains;
+    Alcotest.test_case "bqueue: take_batch" `Quick test_bq_take_batch;
     Alcotest.test_case "bqueue: take_batch_into" `Quick test_bq_take_batch_into;
     Alcotest.test_case "bqueue: drain_into" `Quick test_bq_drain_into;
     Alcotest.test_case "bqueue: take_timeout" `Quick test_bq_take_timeout;
