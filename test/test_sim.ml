@@ -1004,6 +1004,60 @@ let test_chaos_spec_crash_golden () =
     r2.spec_confirmed;
   Alcotest.(check int) "golden: same aborted" r1.spec_aborted r2.spec_aborted
 
+(* Event-stream fingerprints: the integer results of small runs over
+   every simulated feature, pinned to the values the model produced when
+   they were recorded. Unlike the run-twice goldens above, these catch a
+   change that shifts the event stream the same way on both runs.
+   Columns: events, completed, reads_completed, spec_confirmed,
+   view_changes. *)
+let fingerprint_table =
+  let crash =
+    [ Sfault.Crash { node = 0; at = 0.25; restart_at = Some 0.45 } ]
+  in
+  let small = small_params () in
+  [ ("serial", small, (639518, 10050, 0, 0, 0));
+    ( "exec4 skew spec",
+      { (small_params ~cores:8 ()) with
+        exec_threads = 4; skew = 0.9; speculate = true;
+        mispredict_ratio = 0.1 },
+      (2441334, 31178, 0, 37395, 0) );
+    ( "lease stale reads",
+      read_params ~stale:true 0.5,
+      (749161, 16751, 8386, 0, 0) );
+    ("chaos crash", chaos_params ~duration:0.6 crash, (744158, 11980, 0, 0, 3));
+    ( "reconfig walk",
+      reconfig_params ~duration:0.8 [ (0.2, [ 0; 1; 2; 3 ]) ],
+      (1730898, 26730, 0, 0, 0) );
+    ( "sync group",
+      { small with sync_policy = Params.Sync_group },
+      (59872, 900, 0, 0, 0) );
+    ( "auto tune",
+      { small with auto_tune = true; tune_epoch = 0.005 },
+      (217591, 4266, 0, 0, 0) );
+    ( "groups4 reads lease spec",
+      { (read_params ~stale:true 0.5) with groups = 4; speculate = true },
+      (1637010, 24127, 12062, 16170, 0) );
+    ( "groups2 conflicts crash",
+      { (chaos_params ~duration:0.6 crash) with
+        groups = 2; conflict_ratio = 0.05 },
+      (2069232, 27859, 0, 0, 3) ) ]
+
+let test_event_stream_fingerprints () =
+  let row name (e, c, rd, cf, v) = (name, [ e; c; rd; cf; v ]) in
+  let expected, got =
+    List.split
+      (List.map
+         (fun (name, p, pinned) ->
+            let r = Jpaxos_model.run p in
+            ( row name pinned,
+              row name
+                (r.events, r.completed, r.reads_completed, r.spec_confirmed,
+                 r.view_changes) ))
+         fingerprint_table)
+  in
+  Alcotest.(check (list (pair string (list int))))
+    "events, completed, reads, confirmed, views" expected got
+
 let suite =
   [
     Alcotest.test_case "engine: delay ordering" `Quick test_engine_delay_ordering;
@@ -1109,4 +1163,6 @@ let suite =
       test_reconfig_model_grow_shrink;
     Alcotest.test_case "reconfig: crash-during-transfer golden" `Slow
       test_reconfig_chaos_golden;
+    Alcotest.test_case "jpaxos model: event-stream fingerprints" `Quick
+      test_event_stream_fingerprints;
   ]
