@@ -1313,101 +1313,6 @@ let bench006 () =
   Printf.printf "wrote %s\n%!" !bench006_out
 
 (* ------------------------------------------------------------------ *)
-(* bench007: executor-pool policy study in the simulator (deterministic).
-   The execution-bound workload of bench002 at 4 executors, swept over
-   client skew (fraction of "hot" clients whose conflict keys all home
-   on executor 0) with the simulated work-stealing pool on and off.
-   Fixed routing convoys the hot lanes on one executor; stealing spreads
-   their tokens over the pool. Gate: steal_speedup_hot >= 1.5 at skew
-   0.9. This is a policy study on simulated cores: the live runtime
-   keeps static hash-sharding, which won the live A/B on this OCaml
-   runtime (EXPERIMENTS.md, bench007). *)
-
-let bench007_out = ref "bench/BENCH_007.json"
-
-let bench007 () =
-  heading "bench007"
-    (Printf.sprintf
-       "Work-stealing vs hash-sharded executors (simulator) -> %s%s"
-       !bench007_out
-       (if !bench_quick then " (--quick)" else ""));
-  let module J = Msmr_obs.Json in
-  let quick = !bench_quick in
-  (* --- sim: steal on/off across skew --- *)
-  let warmup, duration = if quick then (0.05, 0.1) else (0.2, 0.5) in
-  (* 150 clients: enough to saturate the 4-executor pool (80 K req/s)
-     when balanced, few enough that the cold minority cannot mask the
-     executor-0 convoy under fixed routing (closed-loop clients have no
-     think time, so a large cold population would simply speed up and
-     fill the idle executors). *)
-  let sim_run ~skew ~steal =
-    let p = Params.default ~n:3 ~cores:16 () in
-    Jp.run
-      { p with
-        n_clients = 150;
-        warmup;
-        duration;
-        costs = { p.costs with exec_per_req = 50e-6 };
-        exec_threads = 4;
-        steal;
-        skew }
-  in
-  let skews = [ 0.0; 0.5; 0.9 ] in
-  let rows =
-    List.map
-      (fun skew ->
-         let off = sim_run ~skew ~steal:false in
-         let on = sim_run ~skew ~steal:true in
-         (skew, off, on))
-      skews
-  in
-  Printf.printf
-    "steal vs fixed routing (n=3, 16 cores, 4 executors, exec-bound):\n";
-  Printf.printf "%6s %16s %16s %8s %8s\n" "skew" "fixed req/s" "steal req/s"
-    "speedup" "steals";
-  List.iter
-    (fun (skew, (off : Jp.result), (on : Jp.result)) ->
-       Printf.printf "%6.2f %16.1f %16.1f %8.2f %8d\n%!" skew (k off.throughput)
-         (k on.throughput)
-         (on.throughput /. off.throughput)
-         on.steals)
-    rows;
-  let hot_speedup =
-    let _, off, on = List.find (fun (s, _, _) -> s = 0.9) rows in
-    on.Jp.throughput /. off.Jp.throughput
-  in
-  Printf.printf "steal speedup at skew 0.9: %.2fx (gate >= 1.5)\n%!"
-    hot_speedup;
-  let sim_point (skew, (off : Jp.result), (on : Jp.result)) =
-    J.Obj
-      [ ("skew", J.Float skew);
-        ("nosteal_rps", J.Float off.throughput);
-        ("steal_rps", J.Float on.throughput);
-        ("speedup", J.Float (on.throughput /. off.throughput));
-        ("steals", J.Int on.steals) ]
-  in
-  let json =
-    J.Obj
-      [ ("bench", J.String "BENCH_007");
-        ("source", J.String "bench/main.exe bench007");
-        ("quick", J.Bool quick);
-        ( "sim",
-          J.Obj
-            [ ("n", J.Int 3);
-              ("cores", J.Int 16);
-              ("exec_threads", J.Int 4);
-              ("n_clients", J.Int 150);
-              ("exec_per_req_us", J.Float 50.0);
-              ("points", J.List (List.map sim_point rows));
-              ("steal_speedup_hot", J.Float hot_speedup) ] ) ]
-  in
-  let oc = open_out !bench007_out in
-  output_string oc (J.to_string json);
-  output_char oc '\n';
-  close_out oc;
-  Printf.printf "wrote %s\n%!" !bench007_out
-
-(* ------------------------------------------------------------------ *)
 (* bench008: the read-heavy fast path (leader leases). Sweep of the
    simulated cluster (n=5, 8 cores) over
 
@@ -1522,7 +1427,7 @@ let bench008 () =
 (* ------------------------------------------------------------------ *)
 (* bench009: early scheduling + optimistic speculative execution
    (DESIGN.md section 16). Sweep of the simulated cluster (n=3, 8
-   cores, 4 executors, work-stealing) over
+   cores, 4 hash-sharded executors) over
 
      speculation   off (ordered execution after decide — the PR 7
                        baseline) and on (pre-dispatch at ingress +
@@ -1562,7 +1467,6 @@ let bench009 () =
         warmup;
         duration;
         exec_threads = 4;
-        steal = groups = 1;
         skew;
         speculate = spec }
   in
@@ -1621,7 +1525,6 @@ let bench009 () =
       warmup = 0.2;
       duration = chaos_duration;
       exec_threads = 4;
-      steal = true;
       skew = 0.5;
       speculate = true;
       mispredict_ratio = 0.1;
@@ -1985,7 +1888,7 @@ let experiments =
     ("live", live); ("live-mono", live_mono); ("ablation", ablation);
     ("micro", micro); ("bench002", bench002); ("bench003", bench003);
     ("bench004", bench004); ("bench005", bench005); ("bench006", bench006);
-    ("bench007", bench007); ("bench008", bench008);
+    ("bench008", bench008);
     ("bench009", bench009); ("bench010", bench010) ]
 
 let () =
@@ -2008,9 +1911,6 @@ let () =
     | "--bench006-out" :: file :: rest ->
       bench006_out := file;
       parse ids trace metrics rest
-    | "--bench007-out" :: file :: rest ->
-      bench007_out := file;
-      parse ids trace metrics rest
     | "--bench008-out" :: file :: rest ->
       bench008_out := file;
       parse ids trace metrics rest
@@ -2025,15 +1925,13 @@ let () =
       parse ids trace metrics rest
     | ("--trace" | "--metrics" | "--bench-out" | "--bench003-out"
       | "--bench004-out" | "--bench005-out" | "--bench006-out"
-      | "--bench007-out" | "--bench008-out" | "--bench009-out"
-      | "--bench010-out") :: [] ->
+      | "--bench008-out" | "--bench009-out" | "--bench010-out") :: [] ->
       Printf.eprintf
         "usage: main [EXPERIMENT..] [--trace FILE] [--metrics FILE]\n\
         \       [--quick] [--bench-out FILE] [--bench003-out FILE]\n\
         \       [--bench004-out FILE] [--bench005-out FILE]\n\
-        \       [--bench006-out FILE] [--bench007-out FILE]\n\
-        \       [--bench008-out FILE] [--bench009-out FILE]\n\
-        \       [--bench010-out FILE]\n";
+        \       [--bench006-out FILE] [--bench008-out FILE]\n\
+        \       [--bench009-out FILE] [--bench010-out FILE]\n";
       exit 2
     | id :: rest -> parse (id :: ids) trace metrics rest
   in

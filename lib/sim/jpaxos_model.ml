@@ -143,7 +143,6 @@ type result = {
   events : int;
   group_throughputs : float array;
   globals_executed : int;
-  steals : int;
   spec_dispatched : int;
   spec_confirmed : int;
   spec_aborted : int;
@@ -176,51 +175,64 @@ type client = {
   mutable sent_at : float;
 }
 
-let run_single ?(trace = false) (p : Params.t) =
-  let eng = Engine.create () in
-  (* The tracer is stamped from the engine's virtual clock, so trace
-     timelines are in *simulated* time — the paper's figures become
-     inspectable Chrome timelines. *)
-  let tracer =
-    if trace then
-      Some
-        (Msmr_obs.Trace.create
-           ~clock:(fun () -> Int64.of_float (Engine.now eng *. 1e9))
-           ())
-    else None
-  in
-  let ns_of s = Int64.of_float (s *. 1e9) in
-  let state_name : Sstats.state -> string = function
-    | Sstats.Busy -> "busy"
-    | Sstats.Blocked -> "blocked"
-    | Sstats.Waiting -> "waiting"
-    | Sstats.Other -> "other"
-  in
-  (* Thread -> track, for hooks (lock contention) that only know the
-     blocked thread. Physical equality: threads are unique records. *)
-  let track_of : (Sstats.thread * Msmr_obs.Trace.track) list ref = ref [] in
-  let c = p.costs in
-  let speed = p.profile.cpu_speed in
-  let cost x = x /. speed in
-  (* Kernel network-stack contention grows with ClientIO threads beyond
-     8 (Figure 9 / Section VI-C). *)
-  let net_slowdown =
-    1.0
-    +. (p.net_contention_per_io_thread
-        *. float_of_int (max 0 (p.client_io_threads - 8)))
-  in
-  let pkt_rate =
-    p.profile.pkt_rate /. net_slowdown *. (if p.rss then 2.0 else 1.0)
-  in
-  (* Chaos gate: with [faults = []] and [reconfig_at = []] none of the
-     fault-injection state below is consulted and the event stream is
-     byte-for-byte the fault-free one (pinned by the determinism
-     goldens). A reconfig schedule needs the same machinery faults do —
-     failure detector (whose tick drives the joiner's catch-up),
-     retransmissions and the safety checker — so it rides the gate. *)
-  let chaos = p.faults <> [] || p.reconfig_at <> [] in
+(* ================================================================== *)
+(* Machinery shared by the single-group and multi-group runners.       *)
+(* ================================================================== *)
+
+let ns_of s = Int64.of_float (s *. 1e9)
+
+let state_name : Sstats.state -> string = function
+  | Sstats.Busy -> "busy"
+  | Sstats.Blocked -> "blocked"
+  | Sstats.Waiting -> "waiting"
+  | Sstats.Other -> "other"
+
+(* The tracer is stamped from the engine's virtual clock, so trace
+   timelines are in *simulated* time — the paper's figures become
+   inspectable Chrome timelines. *)
+let make_tracer ~trace eng =
+  if trace then
+    Some (Msmr_obs.Trace.create ~clock:(fun () -> ns_of (Engine.now eng)) ())
+  else None
+
+(* Give a registered thread its own track on replica [pid] and bridge
+   its Sstats state changes to merged spans (cat = the owning module,
+   name = the state). *)
+let trace_thread tracer ~pid st =
+  Option.map
+    (fun t ->
+       let tname = Sstats.name st in
+       let trk =
+         Msmr_obs.Trace.track t ~pid ~pname:(Printf.sprintf "replica-%d" pid)
+           ~name:tname ()
+       in
+       let cat = Msmr_obs.Taxonomy.module_of_thread tname in
+       Sstats.attach_tracer st (fun state t0 t1 ->
+           let ts = ns_of t0 in
+           Msmr_obs.Trace.complete trk ~cat ~name:(state_name state) ~ts_ns:ts
+             ~dur_ns:(Int64.sub (ns_of t1) ts) ());
+       trk)
+    tracer
+
+let cost (p : Params.t) x = x /. p.profile.cpu_speed
+
+(* Kernel network-stack contention grows with ClientIO threads beyond
+   8 (Figure 9 / Section VI-C). *)
+let net_slowdown (p : Params.t) =
+  1.0
+  +. (p.net_contention_per_io_thread
+      *. float_of_int (max 0 (p.client_io_threads - 8)))
+
+let pkt_rate (p : Params.t) =
+  p.profile.pkt_rate /. net_slowdown p *. (if p.rss then 2.0 else 1.0)
+
+(* The engine configuration a run simulates: the paper's static tuning,
+   plus the failure-detector/retransmission timing under [chaos] and the
+   lease policy under [p.lease]. *)
+let config_of (p : Params.t) ~chaos =
   let cfg =
     { (Config.default ~n:p.n) with
+      groups = max 1 p.groups;
       window = p.wnd;
       max_batch_bytes = p.bsz;
       max_batch_delay_s = 0.005;
@@ -235,36 +247,25 @@ let run_single ?(trace = false) (p : Params.t) =
         retransmit_interval_s = p.chaos_rtx_interval }
     else cfg
   in
-  (* Read fast-path gate, same discipline as the chaos gate: with
-     [lease = false] none of the lease/read state below is consulted and
-     the event stream is byte-for-byte the seed one (golden-pinned).
-     [read_ratio > 0.] with [lease = false] runs reads down the ordered
-     path — a read then costs exactly a write, which IS the ordered-read
-     baseline bench008 measures the fast path against. *)
-  let reads_on = p.lease && p.read_ratio > 0. in
-  (* Speculation gate ([Params.speculate]), same discipline again: with
-     [speculate = false] (or a serial ServiceManager) none of the frame
-     state below is consulted and the event stream is byte-for-byte the
-     ordered one (golden-pinned). *)
-  let spec_on = p.speculate && p.exec_threads > 1 in
-  let cfg =
-    if p.lease then
-      { cfg with
-        Config.lease_enabled = true;
-        lease_duration_s = p.lease_duration;
-        clock_skew_bound_s = p.clock_skew }
-    else cfg
-  in
-  (* Per-node drifting clocks: node [i] reads [t*(1+drift_i)+offset_i],
-     deterministic (Knuth hash, no RNG) and bounded — offset and the
-     drift accumulated over the whole run each stay within
-     [clock_skew/2], so no node's clock error exceeds [clock_skew].
-     This is the adversary the lease's [clock_skew_bound_s] padding is
-     up against. *)
+  if p.lease then
+    { cfg with
+      Config.lease_enabled = true;
+      lease_duration_s = p.lease_duration;
+      clock_skew_bound_s = p.clock_skew }
+  else cfg
+
+(* A deterministic per-node value in [0, 1] (Knuth hash, no RNG). *)
+let clock_u i salt =
+  float_of_int (((i * 2654435761) + (salt * 40503)) land 1023) /. 1023.
+
+(* Per-node drifting clocks: node [i] reads [t*(1+drift_i)+offset_i],
+   bounded — offset and the drift accumulated over the whole run each
+   stay within [clock_skew/2], so no node's clock error exceeds
+   [clock_skew]. This is the adversary the lease's
+   [clock_skew_bound_s] padding is up against. Returns [node_clock]
+   (seconds) and [clock_ns]. *)
+let node_clocks eng (p : Params.t) =
   let horizon = p.warmup +. p.duration in
-  let clock_u i salt =
-    float_of_int (((i * 2654435761) + (salt * 40503)) land 1023) /. 1023.
-  in
   let clock_offset =
     Array.init p.n (fun i -> p.clock_skew /. 2. *. clock_u i 1)
   in
@@ -274,10 +275,345 @@ let run_single ?(trace = false) (p : Params.t) =
         else p.clock_skew /. 2. *. clock_u i 2 /. horizon)
   in
   let node_clock i =
-    let t = Engine.now eng in
-    (t *. (1. +. clock_drift.(i))) +. clock_offset.(i)
+    (Engine.now eng *. (1. +. clock_drift.(i))) +. clock_offset.(i)
   in
-  let clock_ns i = int_of_float (node_clock i *. 1e9) in
+  (node_clock, fun i -> int_of_float (node_clock i *. 1e9))
+
+(* Floor-crossing pattern: the [k]-th event is selected iff
+   floor(k * ratio) > floor((k-1) * ratio) — deterministic, evenly
+   spread, exactly [ratio] of all events in the long run, no RNG. *)
+let floor_crosses ratio k =
+  ratio > 0.
+  && int_of_float (float_of_int k *. ratio)
+     > int_of_float (float_of_int (k - 1) *. ratio)
+
+(* Forced-mispredict interleave, consumed once per confirm-eligible
+   speculation frame. *)
+let mispredictor (p : Params.t) =
+  let total = ref 0 in
+  fun () ->
+    incr total;
+    floor_crosses p.mispredict_ratio !total
+
+(* Read fast-path gate: with [lease = false] none of the lease/read
+   state is consulted and the event stream is byte-for-byte the seed
+   one (golden-pinned). [read_ratio > 0.] with [lease = false] runs
+   reads down the ordered path — a read then costs exactly a write,
+   which IS the ordered-read baseline bench008 measures the fast path
+   against. *)
+let reads_on (p : Params.t) = p.lease && p.read_ratio > 0.
+
+(* Deterministic read/write interleave: op [k] of a client is a read iff
+   the scaled floor counter crosses. *)
+let is_read_op p k = reads_on p && floor_crosses p.read_ratio k
+
+(* Per-client read plumbing (clients are sequential: one outstanding op
+   each, so plain slots carry the reply payload) and the linearizability
+   bookkeeping the extended [safety_ok] checks: [ack_hist] remembers
+   when each write ack landed, newest first. *)
+type read_book = {
+  read_result : int array;   (* served version, -1 = rejected *)
+  read_serve_t : float array;
+  read_floor : int array;    (* last acked write when the read was issued *)
+  last_write_acked : int array;
+  ack_hist : (int * float) list array;
+  mutable stale : int;       (* read-safety violations *)
+}
+
+let read_book n_cl =
+  { read_result = Array.make n_cl (-1);
+    read_serve_t = Array.make n_cl 0.;
+    read_floor = Array.make n_cl 0;
+    last_write_acked = Array.make n_cl 0;
+    ack_hist = Array.make n_cl [];
+    stale = 0 }
+
+let note_acked eng rb cid seq =
+  rb.last_write_acked.(cid) <- seq;
+  let l = (seq, Engine.now eng) :: rb.ack_hist.(cid) in
+  rb.ack_hist.(cid) <-
+    (if List.length l > 64 then List.filteri (fun i _ -> i < 64) l else l)
+
+(* Highest write seq of [cid] acked at or before [cutoff]. Truncated
+   history can only lower the floor — the check errs permissive, never
+   flags a correct read. *)
+let acked_floor rb cid cutoff =
+  let rec go = function
+    | (s, t) :: _ when t <= cutoff -> s
+    | _ :: rest -> go rest
+    | [] -> 0
+  in
+  go rb.ack_hist.(cid)
+
+(* Client-side verdict on one finished read: a linearizable read must
+   return at least the client's last write acked before the read was
+   issued; a bounded-staleness read at least the last write acked
+   [staleness_bound] before the moment the replica served it. *)
+let check_read (p : Params.t) rb cid =
+  let q = rb.read_result.(cid) in
+  if q >= 0 then begin
+    let floor =
+      if p.stale_reads then
+        acked_floor rb cid (rb.read_serve_t.(cid) -. p.staleness_bound)
+      else rb.read_floor.(cid)
+    in
+    if q < floor then rb.stale <- rb.stale + 1
+  end
+
+(* Up to [k] items already waiting in [q], without blocking. *)
+let take_burst q st k =
+  let rec go acc k =
+    if k = 0 then List.rev acc
+    else
+      match Squeue.try_take q st with
+      | Some x -> go (x :: acc) (k - 1)
+      | None -> List.rev acc
+  in
+  go [] k
+
+(* One wire transmission from node [src] to node [dst] (callback-safe:
+   never suspends). Fault-free it is a plain NIC send. Under [chaos] the
+   fault schedule applies at the NIC boundary — the whole segment is
+   dropped, delayed or duplicated, exactly like a lost or reordered
+   frame — and a crashed node neither sends nor receives. *)
+let transmit eng ~chaos net up ~src ~dst ~src_nic ~dst_nic ~size deliver =
+  if not chaos then Nic.send src_nic ~dst:dst_nic ~size deliver
+  else if up.(src) then
+    List.iter
+      (fun extra ->
+         let send () =
+           Nic.send src_nic ~dst:dst_nic ~size (fun () ->
+               if up.(dst) then deliver ())
+         in
+         if extra <= 0. then send ()
+         else Engine.schedule_at eng (Engine.now eng +. extra) send)
+      (Sfault.deliveries net ~src ~now:(Engine.now eng) ~dst)
+
+(* Schedule the fault-injection timeline: crashes and restarts through
+   the runner's [crash]/[restart], partitions on the chaos network,
+   device stalls on [disk node]. Link rules are standing and consulted
+   per segment, so they need no event. *)
+let arm_faults eng net (p : Params.t) ~crash ~restart ~disk =
+  List.iter
+    (function
+      | Sfault.Crash { node = id; at; restart_at } ->
+        Engine.schedule_at eng at (fun () -> crash id);
+        Option.iter
+          (fun rt -> Engine.schedule_at eng rt (fun () -> restart id))
+          restart_at
+      | Sfault.Partition { group_a; group_b; at; heal_at; symmetric } ->
+        Engine.schedule_at eng at (fun () ->
+            Sfault.set_partition net ~group_a ~group_b ~symmetric true);
+        Engine.schedule_at eng heal_at (fun () ->
+            Sfault.set_partition net ~group_a ~group_b ~symmetric false)
+      | Sfault.Link _ -> ()
+      | Sfault.Fsync_stall { node = id; at; until_t } ->
+        Engine.schedule_at eng at (fun () ->
+            Option.iter (fun d -> Sdisk.stall d ~until:until_t) (disk id)))
+    p.faults
+
+(* Batcher thread loop: drain [req_q] into the pure [policy], sealing
+   on size or on the policy's deadline. A sealed batch pays the
+   per-batch cost, leaves a trace instant on [trk], and goes to
+   [on_seal]. *)
+let batcher_loop eng p cpu st trk policy req_q ~on_seal =
+  let c = p.Params.costs in
+  let now_ns () = ns_of (Engine.now eng) in
+  let seal batch =
+    Cpu.work cpu st (cost p c.batcher_per_batch);
+    Option.iter
+      (fun trk ->
+         Msmr_obs.Trace.instant trk ~cat:"ReplicationCore"
+           ~args:
+             [ ("reqs", Msmr_obs.Json.Int (Batch.request_count batch));
+               ("bytes", Msmr_obs.Json.Int (Batch.size_bytes batch)) ]
+           "batch-seal")
+      trk;
+    on_seal batch
+  in
+  let rec loop () =
+    let timeout =
+      match Batcher.deadline_ns policy with
+      | None -> 1.0
+      | Some d -> Float.max 1e-5 ((Int64.to_float d /. 1e9) -. Engine.now eng)
+    in
+    (match Squeue.take_timeout req_q st ~timeout with
+     | Some req ->
+       Cpu.work cpu st (cost p c.batcher_per_req);
+       Option.iter seal (Batcher.add policy req ~now_ns:(now_ns ()))
+     | None -> Option.iter seal (Batcher.flush_due policy ~now_ns:(now_ns ())));
+    loop ()
+  in
+  loop ()
+
+(* ReplicaIO sender loop over one peer's send queue [q], whose items
+   carry the protocol message [msg_of x]. Decide messages are tiny and
+   latency-insensitive; the TCP stack coalesces them with the next
+   Accept on the same connection instead of spending a packet each
+   (Section VI-D3's packet accounting). Model: hold a Decide-only burst
+   briefly; it rides with the next message, or is flushed alone after
+   0.5 ms of silence. Each burst is serialised, then packed into TCP
+   segments that [ship size items] puts on the wire. *)
+let sender_loop p cpu st q ~msg_of ~ship =
+  let c = p.Params.costs in
+  let deferred = ref [] in
+  let is_decide x = match msg_of x with Msg.Decide _ -> true | _ -> false in
+  let rec next_burst () =
+    match
+      if !deferred = [] then Some (Squeue.take q st)
+      else Squeue.take_timeout q st ~timeout:0.0005
+    with
+    | Some first ->
+      let burst = !deferred @ (first :: take_burst q st 31) in
+      deferred := [];
+      if List.for_all is_decide burst then begin
+        deferred := burst;
+        next_burst ()
+      end
+      else burst
+    | None ->
+      let burst = !deferred in
+      deferred := [];
+      burst
+  in
+  let flush seg size = if seg <> [] then ship size (List.rev_map fst seg) in
+  let rec loop () =
+    let sized =
+      List.map
+        (fun x ->
+           let size = approx_size (msg_of x) in
+           Cpu.work cpu st
+             (cost p
+                (c.io_ser_per_msg +. (c.io_ser_per_byte *. float_of_int size)));
+           (x, size))
+        (next_burst ())
+    in
+    let seg, size =
+      List.fold_left
+        (fun (seg, size) (x, s) ->
+           if size > 0 && size + s > segment_payload then begin
+             flush seg size;
+             ([ (x, s) ], s)
+           end
+           else ((x, s) :: seg, size + s))
+        ([], 0) sized
+    in
+    flush seg size;
+    loop ()
+  in
+  loop ()
+
+(* Mirror of the live StableStorage thread: drain a burst from the log
+   queue, pay one device fsync for every record in it (group commit),
+   then forward the gated sends via [release x dest msg]. Burst bound
+   256 matches the live loop. *)
+let stable_storage_loop eng st q d ~ev ~release =
+  let rec loop () =
+    let first = Squeue.take q st in
+    let burst = first :: take_burst q st 255 in
+    List.iter
+      (fun x -> match ev x with Sl_log n -> Sdisk.append d n | Sl_rel _ -> ())
+      burst;
+    (* A release whose record was covered by an earlier burst's fsync
+       needs no new sync — only flush when something is pending. *)
+    if Sdisk.has_pending d then begin
+      Sstats.set st Sstats.Blocked;
+      Engine.suspend eng (fun resume -> Sdisk.fsync d resume);
+      Sstats.set st Sstats.Busy
+    end;
+    List.iter
+      (fun x ->
+         match ev x with
+         | Sl_rel (dest, msg) -> release x dest msg
+         | Sl_log _ -> ())
+      burst;
+    loop ()
+  in
+  loop ()
+
+(* ---------------- collect ---------------- *)
+
+let report ~dur cpu threads =
+  let threads =
+    List.map (fun st -> (Sstats.name st, Sstats.totals st)) threads
+  in
+  let blocked =
+    List.fold_left
+      (fun acc (_, (x : Sstats.totals)) -> acc +. x.blocked)
+      0. threads
+  in
+  { cpu_util_pct = 100. *. Cpu.consumed cpu /. dur;
+    blocked_pct = 100. *. blocked /. dur;
+    threads }
+
+(* Publish the headline results (and the leader's WAL series, mirroring
+   the live ones) to the shared registry, so [--metrics FILE] dumps the
+   same series names in live and sim mode. Returns the leader's fsync
+   count and mean group size. *)
+let publish_headline eng ~labels ~throughput ~client_latency ~leader_cpu_pct
+    disk =
+  let set = Msmr_obs.Metrics.set_gauge ~labels in
+  set "msmr_run_throughput_rps" throughput;
+  set "msmr_run_client_latency_s" client_latency;
+  set "msmr_run_leader_cpu_pct" leader_cpu_pct;
+  set "msmr_run_events" (float_of_int (Engine.events_processed eng));
+  match disk with
+  | Some d ->
+    set "msmr_wal_sync_total" (float_of_int (Sdisk.syncs d));
+    set "msmr_wal_group_size" (Sdisk.avg_group d);
+    (Sdisk.syncs d, Sdisk.avg_group d)
+  | None -> (0, 0.)
+
+(* Linearizability check over executed-request logs (one per node,
+   newest first): no node executed a request twice, and every node
+   agrees with node 0 on their common prefix of the execution order. *)
+let logs_consistent logs =
+  let arrs = Array.map (fun l -> Array.of_list (List.rev l)) logs in
+  let ok = ref true in
+  Array.iter
+    (fun a ->
+       let seen = Hashtbl.create (Array.length a) in
+       Array.iter
+         (fun r ->
+            if Hashtbl.mem seen r then ok := false else Hashtbl.add seen r ())
+         a)
+    arrs;
+  for i = 1 to Array.length arrs - 1 do
+    let a = arrs.(0) and b = arrs.(i) in
+    for j = 0 to min (Array.length a) (Array.length b) - 1 do
+      if a.(j) <> b.(j) then ok := false
+    done
+  done;
+  !ok
+
+(* Laggiest and most advanced executed-log length. *)
+let executed_range counts =
+  if Array.length counts = 0 then (0, 0)
+  else (Array.fold_left min max_int counts, Array.fold_left max 0 counts)
+
+let run_single ?(trace = false) (p : Params.t) =
+  let eng = Engine.create () in
+  let tracer = make_tracer ~trace eng in
+  (* Thread -> track, for hooks (lock contention) that only know the
+     blocked thread. Physical equality: threads are unique records. *)
+  let track_of : (Sstats.thread * Msmr_obs.Trace.track) list ref = ref [] in
+  let c = p.costs in
+  let cost = cost p in
+  (* Chaos gate: with [faults = []] and [reconfig_at = []] none of the
+     fault-injection state below is consulted and the event stream is
+     byte-for-byte the fault-free one (pinned by the determinism
+     goldens). A reconfig schedule needs the same machinery faults do —
+     failure detector (whose tick drives the joiner's catch-up),
+     retransmissions and the safety checker — so it rides the gate. *)
+  let chaos = p.faults <> [] || p.reconfig_at <> [] in
+  let cfg = config_of p ~chaos in
+  let reads_on = reads_on p in
+  (* Speculation gate ([Params.speculate]), same discipline: with
+     [speculate = false] (or a serial ServiceManager) none of the frame
+     state below is consulted and the event stream is byte-for-byte the
+     ordered one (golden-pinned). *)
+  let spec_on = p.speculate && p.exec_threads > 1 in
+  let node_clock, clock_ns = node_clocks eng p in
   (* Lease state per node — the same pure {!Lease} policy the live
      runtime drives, here ticked in simulated time on drifted clocks. *)
   let leases = Array.init p.n (fun i -> Lease.create cfg ~me:i ~view:0) in
@@ -338,74 +674,17 @@ let run_single ?(trace = false) (p : Params.t) =
         if sf_wait.(nid).(cid) < 0. then spec_abort_frame nid cid
       done
   in
-  (* Forced-mispredict interleave (floor counter, no RNG), consumed once
-     per confirm-eligible frame. *)
-  let mis_total = ref 0 in
-  let force_mispredict () =
-    incr mis_total;
-    p.mispredict_ratio > 0.
-    && int_of_float (float_of_int !mis_total *. p.mispredict_ratio)
-       > int_of_float (float_of_int (!mis_total - 1) *. p.mispredict_ratio)
-  in
-  (* Per-client read plumbing (clients are sequential: one outstanding
-     op each, so plain slots carry the reply payload) and the
-     linearizability bookkeeping the extended [safety_ok] checks:
-     [ack_hist] remembers when each write ack landed, newest first. *)
-  let read_result = Array.make n_cl (-1) in
-  let read_serve_t = Array.make n_cl 0. in
-  let read_floor = Array.make n_cl 0 in
-  let last_write_acked = Array.make n_cl 0 in
-  let ack_hist : (int * float) list array = Array.make n_cl [] in
-  let note_acked cid seq =
-    last_write_acked.(cid) <- seq;
-    let l = (seq, Engine.now eng) :: ack_hist.(cid) in
-    ack_hist.(cid) <-
-      (if List.length l > 64 then List.filteri (fun i _ -> i < 64) l else l)
-  in
-  (* Highest write seq of [cid] acked at or before [cutoff]. Truncated
-     history can only lower the floor — the check errs permissive,
-     never flags a correct read. *)
-  let acked_floor cid cutoff =
-    let rec go = function
-      | (s, t) :: _ when t <= cutoff -> s
-      | _ :: rest -> go rest
-      | [] -> 0
-    in
-    go ack_hist.(cid)
-  in
+  let force_mispredict = mispredictor p in
+  let rb = read_book n_cl in
   let reads_completed = ref 0 in
   let read_rejects = ref 0 in
-  let stale_answers = ref 0 in
-  (* Client-side verdict on one finished read: a linearizable read must
-     return at least the client's last write acked before the read was
-     issued; a bounded-staleness read at least the last write acked
-     [staleness_bound] before the moment the replica served it. *)
-  let check_read cid =
-    let q = read_result.(cid) in
-    if q >= 0 then begin
-      let floor =
-        if p.stale_reads then
-          acked_floor cid (read_serve_t.(cid) -. p.staleness_bound)
-        else read_floor.(cid)
-      in
-      if q < floor then incr stale_answers
-    end
-  in
-  (* Deterministic read/write interleave: op [k] is a read iff the
-     scaled floor counter crosses — exactly [read_ratio] of each
-     client's ops in the long run, no RNG. *)
-  let is_read_op k =
-    reads_on
-    && int_of_float (float_of_int k *. p.read_ratio)
-       > int_of_float (float_of_int (k - 1) *. p.read_ratio)
-  in
   (* ---------------- nodes ---------------- *)
   let mk_node id =
     let cpu =
       Cpu.create eng ~cores:p.cores ~switch_cost:(cost c.switch_cost) ()
     in
     let nic =
-      Nic.create eng ~pkt_rate ~bandwidth:p.profile.bandwidth
+      Nic.create eng ~pkt_rate:(pkt_rate p) ~bandwidth:p.profile.bandwidth
         ~name:(Printf.sprintf "nic-%d" id) ()
     in
     { id; cpu; nic;
@@ -463,23 +742,14 @@ let run_single ?(trace = false) (p : Params.t) =
        else 0)
       0
   in
-  let ns_now () = Int64.of_float (Engine.now eng *. 1e9) in
+  let ns_now () = ns_of (Engine.now eng) in
   (* Wire-level delivery with chaos applied at the NIC boundary.
      Callback-safe: [Nic.send] and [Mailbox.push] never suspend, so this
      can run from [schedule_at] callbacks (retransmission, restart). *)
   let chaos_deliver src_node dst msg size =
-    if up.(src_node.id) then
-      List.iter
-        (fun extra ->
-           let send () =
-             Nic.send src_node.nic ~dst:nodes.(dst).nic ~size (fun () ->
-                 if up.(dst) then
-                   Mailbox.push nodes.(dst).rcv_mbs.(src_node.id)
-                     (src_node.id, msg))
-           in
-           if extra <= 0. then send ()
-           else Engine.schedule_at eng (Engine.now eng +. extra) send)
-        (Sfault.deliveries net ~src:src_node.id ~now:(Engine.now eng) ~dst)
+    transmit eng ~chaos:true net up ~src:src_node.id ~dst ~src_nic:src_node.nic
+      ~dst_nic:nodes.(dst).nic ~size (fun () ->
+        Mailbox.push nodes.(dst).rcv_mbs.(src_node.id) (src_node.id, msg))
   in
   let rec rtx_fire id key () =
     match Hashtbl.find_opt rtx_tbls.(id) key with
@@ -589,25 +859,8 @@ let run_single ?(trace = false) (p : Params.t) =
     end
   in
   if chaos then
-    List.iter
-      (function
-        | Sfault.Crash { node = id; at; restart_at } ->
-          Engine.schedule_at eng at (fun () -> do_crash id);
-          (match restart_at with
-           | Some rt -> Engine.schedule_at eng rt (fun () -> do_restart id)
-           | None -> ())
-        | Sfault.Partition { group_a; group_b; at; heal_at; symmetric } ->
-          Engine.schedule_at eng at (fun () ->
-              Sfault.set_partition net ~group_a ~group_b ~symmetric true);
-          Engine.schedule_at eng heal_at (fun () ->
-              Sfault.set_partition net ~group_a ~group_b ~symmetric false)
-        | Sfault.Link _ -> ()   (* standing rule, consulted per segment *)
-        | Sfault.Fsync_stall { node = id; at; until_t } ->
-          Engine.schedule_at eng at (fun () ->
-              match nodes.(id).disk with
-              | Some d -> Sdisk.stall d ~until:until_t
-              | None -> ()))
-      p.faults;
+    arm_faults eng net p ~crash:do_crash ~restart:do_restart
+      ~disk:(fun id -> nodes.(id).disk);
   (* Autotune mirror: the leader's batcher policies read their BSZ limit
      through this cell and the controller process below retunes it (and
      the engine window) every [tune_epoch] of simulated time. With
@@ -640,21 +893,9 @@ let run_single ?(trace = false) (p : Params.t) =
      protocol/batcher can add instant events on their own timeline. *)
   let register node st =
     node.threads <- node.threads @ [ st ];
-    match tracer with
-    | None -> None
-    | Some t ->
-      let tname = Sstats.name st in
-      let trk =
-        Msmr_obs.Trace.track t ~pid:node.id
-          ~pname:(Printf.sprintf "replica-%d" node.id) ~name:tname ()
-      in
-      let cat = Msmr_obs.Taxonomy.module_of_thread tname in
-      track_of := (st, trk) :: !track_of;
-      Sstats.attach_tracer st (fun state t0 t1 ->
-          let ts = ns_of t0 in
-          Msmr_obs.Trace.complete trk ~cat ~name:(state_name state)
-            ~ts_ns:ts ~dur_ns:(Int64.sub (ns_of t1) ts) ());
-      Some trk
+    let trk = trace_thread tracer ~pid:node.id st in
+    Option.iter (fun trk -> track_of := (st, trk) :: !track_of) trk;
+    trk
   in
   (* Lock-contention hook: an instant on the blocked thread's track. *)
   let on_contended lock st =
@@ -742,7 +983,7 @@ let run_single ?(trace = false) (p : Params.t) =
           Engine.schedule_at eng (Engine.now eng +. 30e-6) (fun () ->
               Nic.rx_inject leader.nic ~size:p.request_size (fun () ->
                   Mailbox.push leader.cio_mbs.(cio_of_client cl.cid) (Req req))));
-      if reads_on then note_acked cl.cid cl.next_seq
+      if reads_on then note_acked eng rb cl.cid cl.next_seq
     in
     (* Fast-path read: linearizable reads aim at the leaseholder;
        bounded-staleness reads spread over the whole cluster (each NIC
@@ -753,15 +994,15 @@ let run_single ?(trace = false) (p : Params.t) =
     let do_read () =
       let id = { Client_msg.client_id = cl.cid; seq = cl.next_seq } in
       cl.sent_at <- Engine.now eng;
-      read_floor.(cl.cid) <- last_write_acked.(cl.cid);
+      rb.read_floor.(cl.cid) <- rb.last_write_acked.(cl.cid);
       let rec attempt tgt =
-        read_result.(cl.cid) <- -1;
+        rb.read_result.(cl.cid) <- -1;
         Engine.suspend eng (fun resume ->
             client_resume.(cl.cid) <- Some resume;
             Engine.schedule_at eng (Engine.now eng +. 30e-6) (fun () ->
                 Nic.rx_inject tgt.nic ~size:p.request_size (fun () ->
                     Mailbox.push tgt.cio_mbs.(cio_of_client cl.cid) (Rd id))));
-        if read_result.(cl.cid) < 0 then begin
+        if rb.read_result.(cl.cid) < 0 then begin
           if !measuring then incr read_rejects;
           Engine.delay eng (p.lease_duration /. 8.);
           attempt leader
@@ -774,11 +1015,11 @@ let run_single ?(trace = false) (p : Params.t) =
          ClientIO thread per node. *)
       attempt
         (if p.stale_reads then nodes.(cl.cid / p.n mod p.n) else leader);
-      check_read cl.cid
+      check_read p rb cl.cid
     in
     let rec loop () =
       cl.next_seq <- cl.next_seq + 1;
-      let is_read = is_read_op cl.next_seq in
+      let is_read = is_read_op p cl.next_seq in
       if is_read then do_read () else do_write ();
       if p.auto_tune then incr tune_completed;
       if !measuring then begin
@@ -823,7 +1064,7 @@ let run_single ?(trace = false) (p : Params.t) =
           attempt ()
       in
       attempt ();
-      if reads_on then note_acked cl.cid cl.next_seq
+      if reads_on then note_acked eng rb cl.cid cl.next_seq
     in
     (* Chaos reads steer by the leader hint like chaos writes, so after
        a fault they keep arriving at the OLD leaseholder until a view
@@ -832,13 +1073,13 @@ let run_single ?(trace = false) (p : Params.t) =
     let do_read_chaos () =
       let id = { Client_msg.client_id = cl.cid; seq = cl.next_seq } in
       cl.sent_at <- Engine.now eng;
-      read_floor.(cl.cid) <- last_write_acked.(cl.cid);
+      rb.read_floor.(cl.cid) <- rb.last_write_acked.(cl.cid);
       let rec attempt n_try =
         let target =
           if p.stale_reads && n_try = 0 then nodes.(cl.cid / p.n mod p.n)
           else nodes.(!leader_hint)
         in
-        read_result.(cl.cid) <- -1;
+        rb.read_result.(cl.cid) <- -1;
         match
           Engine.suspend_timeout eng ~timeout:p.chaos_client_timeout
             (fun resume ->
@@ -851,7 +1092,7 @@ let run_single ?(trace = false) (p : Params.t) =
                              (Rd id))))
         with
         | Engine.Value () ->
-          if read_result.(cl.cid) < 0 then begin
+          if rb.read_result.(cl.cid) < 0 then begin
             if !measuring then incr read_rejects;
             Engine.delay eng (p.lease_duration /. 8.);
             attempt (n_try + 1)
@@ -862,12 +1103,12 @@ let run_single ?(trace = false) (p : Params.t) =
           attempt (n_try + 1)
       in
       attempt 0;
-      check_read cl.cid
+      check_read p rb cl.cid
     in
     let rec loop () =
       cl.next_seq <- cl.next_seq + 1;
       awaiting_seq.(cl.cid) <- cl.next_seq;
-      let is_read = is_read_op cl.next_seq in
+      let is_read = is_read_op p cl.next_seq in
       if is_read then do_read_chaos () else do_write_chaos ();
       if p.auto_tune then incr tune_completed;
       if !measuring then begin
@@ -953,46 +1194,15 @@ let run_single ?(trace = false) (p : Params.t) =
            else Printf.sprintf "Batcher-%d" bidx)
     in
     let trk = register node st in
-    let policy = batcher_policies.(node.id).(bidx) in
-    let now_ns () = Int64.of_float (Engine.now eng *. 1e9) in
-    let seal batch =
-      Cpu.work node.cpu st (cost c.batcher_per_batch);
-      (match trk with
-       | Some trk ->
-         Msmr_obs.Trace.instant trk ~cat:"ReplicationCore"
-           ~args:
-             [ ("reqs", Msmr_obs.Json.Int (Batch.request_count batch));
-               ("bytes", Msmr_obs.Json.Int (Batch.size_bytes batch)) ]
-           "batch-seal"
-       | None -> ());
-      if !measuring then begin
-        incr batches;
-        batch_reqs := !batch_reqs + Batch.request_count batch;
-        batch_bytes := !batch_bytes + Batch.size_bytes batch
-      end;
-      Squeue.put node.proposal_q st batch;
-      Squeue.put node.dispatcher_q st Poke
-    in
-    let rec loop () =
-      let timeout =
-        match Batcher.deadline_ns policy with
-        | None -> 1.0
-        | Some d ->
-          Float.max 1e-5 ((Int64.to_float d /. 1e9) -. Engine.now eng)
-      in
-      (match Squeue.take_timeout node.request_qs.(bidx) st ~timeout with
-       | Some req ->
-         Cpu.work node.cpu st (cost c.batcher_per_req);
-         (match Batcher.add policy req ~now_ns:(now_ns ()) with
-          | Some batch -> seal batch
-          | None -> ())
-       | None -> (
-           match Batcher.flush_due policy ~now_ns:(now_ns ()) with
-           | Some batch -> seal batch
-           | None -> ()));
-      loop ()
-    in
-    loop ()
+    batcher_loop eng p node.cpu st trk batcher_policies.(node.id).(bidx)
+      node.request_qs.(bidx) ~on_seal:(fun batch ->
+        if !measuring then begin
+          incr batches;
+          batch_reqs := !batch_reqs + Batch.request_count batch;
+          batch_bytes := !batch_bytes + Batch.size_bytes batch
+        end;
+        Squeue.put node.proposal_q st batch;
+        Squeue.put node.dispatcher_q st Poke)
   in
   (* ---------------- Protocol ---------------- *)
   let inst_t0 : (int, float) Hashtbl.t = Hashtbl.create 1024 in
@@ -1196,99 +1406,17 @@ let run_single ?(trace = false) (p : Params.t) =
       Sstats.make_thread eng ~name:(Printf.sprintf "ReplicaIOSnd-%d" peer)
     in
     let (_ : Msmr_obs.Trace.track option) = register node st in
-    let q = node.send_qs.(peer) in
-    let rec drain_burst acc k =
-      if k = 0 then List.rev acc
-      else
-        match Squeue.try_take q st with
-        | Some m -> drain_burst (m :: acc) (k - 1)
-        | None -> List.rev acc
-    in
-    (* Decide messages are tiny and latency-insensitive; the TCP stack
-       coalesces them with the next Accept on the same connection instead
-       of spending a packet each (Section VI-D3's packet accounting).
-       Model: hold a Decide-only burst briefly; it rides with the next
-       message, or is flushed alone after 0.5 ms of silence. *)
-    let deferred = ref [] in
-    let is_decide = function Msg.Decide _ -> true | _ -> false in
-    let rec next_burst () =
-      match
-        if !deferred = [] then Some (Squeue.take q st)
-        else Squeue.take_timeout q st ~timeout:0.0005
-      with
-      | Some first ->
-        let burst = !deferred @ (first :: drain_burst [] 31) in
-        deferred := [];
-        if List.for_all is_decide burst then begin
-          deferred := burst;
-          next_burst ()
-        end
-        else burst
-      | None ->
-        let burst = !deferred in
-        deferred := [];
-        burst
-    in
-    let rec loop () =
-      let burst = next_burst () in
-      (* Serialise each message. *)
-      let sized =
-        List.map
-          (fun m ->
-             let size = approx_size m in
-             Cpu.work node.cpu st
-               (cost (c.io_ser_per_msg +. (c.io_ser_per_byte *. float_of_int size)));
-             (m, size))
-          burst
-      in
-      (* Pack into TCP segments. *)
-      let flush seg_msgs seg_size =
-        if seg_msgs <> [] then begin
-          let msgs = List.rev seg_msgs in
-          if not chaos then
-            Nic.send node.nic ~dst:nodes.(peer).nic ~size:seg_size (fun () ->
-                List.iter
-                  (fun (m, _) -> Mailbox.push nodes.(peer).rcv_mbs.(node.id) (node.id, m))
-                  msgs)
-          else if up.(node.id) then begin
+    sender_loop p node.cpu st node.send_qs.(peer) ~msg_of:Fun.id
+      ~ship:(fun size msgs ->
+          if chaos && up.(node.id) then
             Failure_detector.note_send fds.(node.id) ~dest:peer
               ~now_ns:(ns_now ());
-            (* Chaos applies per TCP segment at the NIC boundary: the
-               whole segment is dropped / delayed / duplicated, exactly
-               like a lost or reordered frame. *)
-            List.iter
-              (fun extra ->
-                 let send () =
-                   Nic.send node.nic ~dst:nodes.(peer).nic ~size:seg_size
-                     (fun () ->
-                        if up.(peer) then
-                          List.iter
-                            (fun (m, _) ->
-                               Mailbox.push nodes.(peer).rcv_mbs.(node.id)
-                                 (node.id, m))
-                            msgs)
-                 in
-                 if extra <= 0. then send ()
-                 else Engine.schedule_at eng (Engine.now eng +. extra) send)
-              (Sfault.deliveries net ~src:node.id ~now:(Engine.now eng)
-                 ~dst:peer)
-          end
-        end
-      in
-      let seg, size =
-        List.fold_left
-          (fun (seg, size) (m, s) ->
-             if size > 0 && size + s > segment_payload then begin
-               flush seg size;
-               ([ (m, s) ], s)
-             end
-             else ((m, s) :: seg, size + s))
-          ([], 0) sized
-      in
-      flush seg size;
-      loop ()
-    in
-    loop ()
+          transmit eng ~chaos net up ~src:node.id ~dst:peer ~src_nic:node.nic
+            ~dst_nic:nodes.(peer).nic ~size (fun () ->
+              List.iter
+                (fun m ->
+                   Mailbox.push nodes.(peer).rcv_mbs.(node.id) (node.id, m))
+                msgs))
   in
   let receiver_proc node peer () =
     let st =
@@ -1310,41 +1438,12 @@ let run_single ?(trace = false) (p : Params.t) =
     loop ()
   in
   (* ---------------- StableStorage (Sync_group) ---------------- *)
-  (* Mirror of the live StableStorage thread: drain a burst from the
-     log queue, pay one device fsync for every record in it (group
-     commit), then forward the gated sends. Burst bound 256 matches the
-     live loop. *)
   let ss_proc node () =
     let st = Sstats.make_thread eng ~name:"StableStorage" in
     let (_ : Msmr_obs.Trace.track option) = register node st in
-    let q = Option.get node.ss_q in
-    let d = Option.get node.disk in
-    let rec drain acc k =
-      if k = 0 then List.rev acc
-      else
-        match Squeue.try_take q st with
-        | Some ev -> drain (ev :: acc) (k - 1)
-        | None -> List.rev acc
-    in
-    let rec loop () =
-      let first = Squeue.take q st in
-      let burst = first :: drain [] 255 in
-      List.iter (function Sl_log n -> Sdisk.append d n | Sl_rel _ -> ()) burst;
-      (* A release whose record was covered by an earlier burst's fsync
-         needs no new sync — only flush when something is pending. *)
-      if Sdisk.has_pending d then begin
-        Sstats.set st Sstats.Blocked;
-        Engine.suspend eng (fun resume -> Sdisk.fsync d resume);
-        Sstats.set st Sstats.Busy
-      end;
-      List.iter
-        (function
-          | Sl_rel (dest, msg) -> Squeue.put node.send_qs.(dest) st msg
-          | Sl_log _ -> ())
-        burst;
-      loop ()
-    in
-    loop ()
+    stable_storage_loop eng st (Option.get node.ss_q) (Option.get node.disk)
+      ~ev:Fun.id ~release:(fun _ dest msg ->
+        Squeue.put node.send_qs.(dest) st msg)
   in
   (* ---------------- FailureDetector (chaos only) ---------------- *)
   (* Mirrors the live FailureDetector thread: polls the pure policy on a
@@ -1383,12 +1482,6 @@ let run_single ?(trace = false) (p : Params.t) =
     loop ()
   in
   (* ---------------- ServiceManager (Replica thread) ---------------- *)
-  (* Work-stealing model shared state: total successful token steals
-     across all nodes' executor pools, over the whole run (warm-up
-     included: at saturation every executor stays busy and steals
-     happen only while load ramps or shifts, so the ramp is where the
-     redistribution lives). *)
-  let sm_steals = ref 0 in
   (* Deterministic "hot client" classification for [p.skew]: a Knuth
      multiplicative hash spreads client ids evenly, so the hot set is
      ≈ skew * n_clients without any RNG. Hot clients model a zipfian
@@ -1422,8 +1515,8 @@ let run_single ?(trace = false) (p : Params.t) =
                <= p.staleness_bound)
       in
       if serve then begin
-        read_result.(r_id.client_id) <- ver.(node.id).(r_id.client_id);
-        read_serve_t.(r_id.client_id) <- Engine.now eng
+        rb.read_result.(r_id.client_id) <- ver.(node.id).(r_id.client_id);
+        rb.read_serve_t.(r_id.client_id) <- Engine.now eng
       end;
       Mailbox.push node.cio_mbs.(cio_of_client r_id.client_id) (Rep r_id)
     end
@@ -1462,11 +1555,12 @@ let run_single ?(trace = false) (p : Params.t) =
     loop ()
   in
   (* exec_threads > 1: the Replica thread becomes a scheduler over a pool
-     of Executor threads (the live runtime's conflict-aware ServiceManager).
-     Requests route by client id — the stand-in for the conflict key, so
-     one client's commands keep their decide order on one executor — and
-     a deterministic fraction [conflict_ratio] of requests is classified
-     Global: each quiesces the pool and executes on the scheduler. *)
+     of Executor threads — the mirror of the live runtime's static,
+     hash-sharded [Exec_pool]. Requests route by client id — the stand-in
+     for the conflict key, so one client's commands keep their decide
+     order on one executor — and a deterministic fraction
+     [conflict_ratio] of requests is classified Global: each quiesces the
+     pool and executes on the scheduler. *)
   let sm_parallel node () =
     let st = Sstats.make_thread eng ~name:"Replica" in
     let (_ : Msmr_obs.Trace.track option) = register node st in
@@ -1528,15 +1622,10 @@ let run_single ?(trace = false) (p : Params.t) =
         Sstats.set st Sstats.Busy
       end
     in
-    (* floor-crossing pattern: request k is Global iff
-       floor(k * ratio) > floor((k-1) * ratio) — deterministic, evenly
-       spread, exactly ratio * total requests in the long run. *)
     let total = ref 0 in
     let classify_global () =
       incr total;
-      p.conflict_ratio > 0.
-      && int_of_float (float_of_int !total *. p.conflict_ratio)
-         > int_of_float (float_of_int (!total - 1) *. p.conflict_ratio)
+      floor_crosses p.conflict_ratio !total
     in
     let route cid = if is_hot cid then 0 else cid mod p.exec_threads in
     let dispatch d_t (req : Client_msg.request) =
@@ -1571,11 +1660,11 @@ let run_single ?(trace = false) (p : Params.t) =
           spec_abort_frame node.id cid;
           Cpu.work node.cpu st (cost c.dispatch_per_req);
           incr pending;
-          (* Fixed routing: hot clients convoy on executor 0 — the
-             baseline the stealing pool ([sm_lanes]) is measured against.
-             skew = 0 leaves this byte-for-byte the original path. The
-             ordered re-execution shares the speculation's route, so
-             mailbox FIFO keeps rollback before re-execution. *)
+          (* Fixed routing: hot clients convoy on executor 0, as they
+             do on the live hash-sharded pool. skew = 0 leaves this
+             byte-for-byte the original path. The ordered re-execution
+             shares the speculation's route, so mailbox FIFO keeps
+             rollback before re-execution. *)
           Mailbox.push exec_mbs.(route cid) (E_exec (req, d_t))
         end
       end
@@ -1589,218 +1678,6 @@ let run_single ?(trace = false) (p : Params.t) =
         Cpu.work node.cpu st (cost c.dispatch_per_req);
         incr pending;
         Mailbox.push exec_mbs.(route cid) (E_spec req)
-      end
-    in
-    let rec loop () =
-      (match Squeue.take node.decision_q st with
-       | Dread { r_id } -> sm_read node st r_id
-       | Dspec { s_req } -> spec_admit s_req
-       | Dec d -> (
-           match d.d_value with
-           | Value.Noop | Value.Reconfig _ -> ()
-           | Value.Batch batch -> List.iter (dispatch d.d_t) batch.requests));
-      loop ()
-    in
-    loop ()
-  in
-  (* exec_threads > 1 && steal: the sim mirror of the live runtime's
-     work-stealing Exec_pool. Requests route to n_lanes = 8*exec_threads
-     FIFO lanes by conflict key (client id); a lane with pending work is
-     represented by a unique token sitting in exactly one executor's
-     token queue, so per-lane decide order is preserved no matter which
-     executor ends up draining the lane. An executor whose token queue
-     runs dry scans the others in ring order and steals half the
-     victim's tokens; hot lanes (see [is_hot]) are all homed on executor
-     0, so stealing is what spreads a skewed load. Deterministic: plain
-     queues, ring-order victim scan, no RNG. *)
-  let sm_lanes node () =
-    let st = Sstats.make_thread eng ~name:"Replica" in
-    let (_ : Msmr_obs.Trace.track option) = register node st in
-    let n_lanes = 8 * p.exec_threads in
-    let lanes : exec_item Queue.t array =
-      Array.init n_lanes (fun _ -> Queue.create ())
-    in
-    (* Requests routed to the lane and not yet executed. The token for a
-       lane exists (in some token queue, or held by a draining executor)
-       iff lane_pending > 0 — the invariant that makes a token's right
-       to drain its lane exclusive. *)
-    let lane_pending = Array.make n_lanes 0 in
-    let token_qs : int Queue.t array =
-      Array.init p.exec_threads (fun _ -> Queue.create ())
-    in
-    let idle : (unit -> unit) option array =
-      Array.make p.exec_threads None
-    in
-    let wake_all () =
-      for i = 0 to p.exec_threads - 1 do
-        match idle.(i) with
-        | Some resume ->
-          idle.(i) <- None;
-          resume ()
-        | None -> ()
-      done
-    in
-    let pending = ref 0 in
-    let barrier_waiter : (unit -> unit) option ref = ref None in
-    let drain_budget = 64 in
-    let executor_proc idx () =
-      let est =
-        Sstats.make_thread eng ~name:(Printf.sprintf "Executor-%d" idx)
-      in
-      let (_ : Msmr_obs.Trace.track option) = register node est in
-      let my = token_qs.(idx) in
-      (* Ring-order victim scan; a hit moves ceil(half) of the victim's
-         tokens — steal-half amortises the scan like the live pool. *)
-      let steal () =
-        let stolen = ref false in
-        let v = ref ((idx + 1) mod p.exec_threads) in
-        while (not !stolen) && !v <> idx do
-          let vq = token_qs.(!v) in
-          let k = Queue.length vq in
-          if k > 0 then begin
-            for _ = 1 to (k + 1) / 2 do
-              Queue.push (Queue.pop vq) my
-            done;
-            incr sm_steals;
-            stolen := true
-          end
-          else v := (!v + 1) mod p.exec_threads
-        done;
-        !stolen
-      in
-      let rec loop () =
-        if Queue.is_empty my && not (steal ()) then begin
-          Sstats.set est Sstats.Waiting;
-          Engine.suspend eng (fun resume -> idle.(idx) <- Some resume);
-          Sstats.set est Sstats.Busy
-        end
-        else begin
-          let lane = Queue.pop my in
-          let q = lanes.(lane) in
-          let budget = min drain_budget (Queue.length q) in
-          for _ = 1 to budget do
-            (match Queue.pop q with
-             | E_exec (req, d_t) ->
-               Cpu.work node.cpu est (cost c.exec_per_req);
-               note_exec node req.id;
-               if (not chaos && node == leader)
-                  || (chaos && Paxos.is_leader node.engine) then begin
-                 Mailbox.push node.cio_mbs.(cio_of_client req.id.client_id)
-                   (Rep req.id);
-                 ce_record d_t
-               end
-             | E_spec req ->
-               (* Optimistic execution in lane order (= per-key predicted
-                  order); a frame aborted while queued executes as a
-                  no-op. *)
-               let cid = req.id.client_id in
-               Cpu.work node.cpu est (cost c.exec_per_req);
-               if sf_seq.(node.id).(cid) = req.id.seq
-                  && not sf_done.(node.id).(cid) then begin
-                 sf_undo.(node.id).(cid) <- ver.(node.id).(cid);
-                 ver.(node.id).(cid) <- req.id.seq;
-                 sf_done.(node.id).(cid) <- true;
-                 let w = sf_wait.(node.id).(cid) in
-                 if w >= 0. then spec_resolve node req.id w
-               end);
-            decr pending;
-            if !pending = 0 then
-              match !barrier_waiter with
-              | Some resume ->
-                barrier_waiter := None;
-                resume ()
-              | None -> ()
-          done;
-          (* Subtract only now: while the token is held, the scheduler
-             sees lane_pending > 0 and mints no duplicate — same
-             "decrement after exec" rule as the live pool. *)
-          lane_pending.(lane) <- lane_pending.(lane) - budget;
-          if lane_pending.(lane) > 0 then begin
-            Queue.push lane my;
-            (* The re-queued token (and any others we hold) is fair
-               game again: let parked peers retry their steal scan. *)
-            wake_all ()
-          end
-        end;
-        loop ()
-      in
-      loop ()
-    in
-    for i = 0 to p.exec_threads - 1 do
-      Engine.spawn eng
-        ~name:(Printf.sprintf "exec-%d-%d" node.id i)
-        (executor_proc i)
-    done;
-    let quiesce () =
-      if !pending > 0 then begin
-        Sstats.set st Sstats.Waiting;
-        Engine.suspend eng (fun resume -> barrier_waiter := Some resume);
-        Sstats.set st Sstats.Busy
-      end
-    in
-    let total = ref 0 in
-    let classify_global () =
-      incr total;
-      p.conflict_ratio > 0.
-      && int_of_float (float_of_int !total *. p.conflict_ratio)
-         > int_of_float (float_of_int (!total - 1) *. p.conflict_ratio)
-    in
-    (* Hot lanes are exactly the multiples of exec_threads below
-       8*exec_threads: all homed on executor 0. *)
-    let lane_of cid =
-      if is_hot cid then p.exec_threads * (cid mod 8) else cid mod n_lanes
-    in
-    let push_lane lane item =
-      Queue.push item lanes.(lane);
-      lane_pending.(lane) <- lane_pending.(lane) + 1;
-      if lane_pending.(lane) = 1 then begin
-        (* 0 -> 1: mint the lane's token on its home executor and wake
-           the pool so an idle peer can steal it. *)
-        Queue.push lane token_qs.(lane mod p.exec_threads);
-        wake_all ()
-      end
-    in
-    let dispatch d_t (req : Client_msg.request) =
-      if chaos && not (up.(node.id) && chaos_admit node req.id) then ()
-      else if classify_global () then begin
-        spec_abort_undecided node.id;
-        quiesce ();
-        Cpu.work node.cpu st (cost c.exec_per_req);
-        note_exec node req.id;
-        if (not chaos && node == leader)
-           || (chaos && Paxos.is_leader node.engine) then begin
-          Mailbox.push node.cio_mbs.(cio_of_client req.id.client_id)
-            (Rep req.id);
-          ce_record d_t
-        end
-      end
-      else begin
-        let cid = req.id.client_id in
-        if spec_on && sf_seq.(node.id).(cid) = req.id.seq
-           && not (force_mispredict ()) then begin
-          Cpu.work node.cpu st (cost c.dispatch_per_req);
-          if sf_done.(node.id).(cid) then spec_resolve node req.id d_t
-          else sf_wait.(node.id).(cid) <- d_t
-        end
-        else begin
-          (* Lane FIFO keeps the rollback (the aborted [E_spec] becomes
-             a no-op) strictly before this ordered re-execution. *)
-          spec_abort_frame node.id cid;
-          Cpu.work node.cpu st (cost c.dispatch_per_req);
-          incr pending;
-          push_lane (lane_of cid) (E_exec (req, d_t))
-        end
-      end
-    in
-    let spec_admit (req : Client_msg.request) =
-      let cid = req.id.client_id in
-      if ((not chaos) || (up.(node.id) && not (chaos_executed node req.id)))
-         && sf_seq.(node.id).(cid) < 0 then begin
-        incr spec_dispatched;
-        sf_seq.(node.id).(cid) <- req.id.seq;
-        Cpu.work node.cpu st (cost c.dispatch_per_req);
-        incr pending;
-        push_lane (lane_of cid) (E_spec req)
       end
     in
     let rec loop () =
@@ -1933,9 +1810,7 @@ let run_single ?(trace = false) (p : Params.t) =
        if chaos then Engine.spawn eng ~name:"fd" (fd_proc node);
        if p.lease then Engine.spawn eng ~name:"lease" (lease_proc node);
        Engine.spawn eng ~name:"sm"
-         (if p.exec_threads > 1 then
-            if p.steal then sm_lanes node else sm_parallel node
-          else sm_proc node);
+         (if p.exec_threads > 1 then sm_parallel node else sm_proc node);
        for peer = 0 to p.n - 1 do
          if peer <> node.id then begin
            Engine.spawn eng ~name:"snd" (sender_proc node peer);
@@ -2097,80 +1972,27 @@ let run_single ?(trace = false) (p : Params.t) =
   let mean = function [] -> 0. | l ->
     List.fold_left ( +. ) 0. l /. float_of_int (List.length l)
   in
-  let report node =
-    let threads = List.map (fun st -> (Sstats.name st, Sstats.totals st)) node.threads in
-    let blocked =
-      List.fold_left (fun acc (_, (x : Sstats.totals)) -> acc +. x.blocked) 0. threads
-    in
-    { cpu_util_pct = 100. *. Cpu.consumed node.cpu /. dur;
-      blocked_pct = 100. *. blocked /. dur;
-      threads }
-  in
   let throughput = float_of_int !completed /. dur in
   let client_latency =
     if !lat_n = 0 then 0. else !lat_sum /. float_of_int !lat_n
   in
-  (* Publish the headline results to the shared registry, so
-     [--metrics FILE] dumps the same series names in live and sim mode. *)
-  let m_labels =
-    [ ("mode", "sim");
-      ("n", string_of_int p.n);
-      ("cores", string_of_int p.cores);
-      ("wnd", string_of_int p.wnd);
-      ("bsz", string_of_int p.bsz) ]
-  in
-  Msmr_obs.Metrics.set_gauge ~labels:m_labels "msmr_run_throughput_rps"
-    throughput;
-  Msmr_obs.Metrics.set_gauge ~labels:m_labels "msmr_run_client_latency_s"
-    client_latency;
-  Msmr_obs.Metrics.set_gauge ~labels:m_labels "msmr_run_leader_cpu_pct"
-    (100. *. Cpu.consumed leader.cpu /. dur);
-  Msmr_obs.Metrics.set_gauge ~labels:m_labels "msmr_run_events"
-    (float_of_int (Engine.events_processed eng));
-  (* Linearizability check over the executed-request logs: no node
-     executed a request twice, and every pair of nodes agrees on the
-     common prefix of the execution order. *)
-  let safety_ok, executed_min, executed_max =
-    if not chaos then (true, 0, 0)
-    else begin
-      let arrs = Array.map (fun l -> Array.of_list (List.rev l)) exec_logs in
-      let ok = ref true in
-      Array.iter
-        (fun a ->
-           let seen = Hashtbl.create (Array.length a) in
-           Array.iter
-             (fun r ->
-                if Hashtbl.mem seen r then ok := false
-                else Hashtbl.add seen r ())
-             a)
-        arrs;
-      for i = 1 to p.n - 1 do
-        let a = arrs.(0) and b = arrs.(i) in
-        let m = min (Array.length a) (Array.length b) in
-        for j = 0 to m - 1 do
-          if a.(j) <> b.(j) then ok := false
-        done
-      done;
-      let mn =
-        Array.fold_left (fun acc a -> min acc (Array.length a)) max_int arrs
-      in
-      let mx =
-        Array.fold_left (fun acc a -> max acc (Array.length a)) 0 arrs
-      in
-      (!ok, (if mn = max_int then 0 else mn), mx)
-    end
-  in
   let wal_syncs, wal_group_avg =
-    match leader.disk with
-    | Some d ->
-      (* Mirror the live WAL series so durable-mode sweeps dump the
-         same names from both backends. *)
-      Msmr_obs.Metrics.set_gauge ~labels:m_labels "msmr_wal_sync_total"
-        (float_of_int (Sdisk.syncs d));
-      Msmr_obs.Metrics.set_gauge ~labels:m_labels "msmr_wal_group_size"
-        (Sdisk.avg_group d);
-      (Sdisk.syncs d, Sdisk.avg_group d)
-    | None -> (0, 0.)
+    publish_headline eng
+      ~labels:
+        [ ("mode", "sim");
+          ("n", string_of_int p.n);
+          ("cores", string_of_int p.cores);
+          ("wnd", string_of_int p.wnd);
+          ("bsz", string_of_int p.bsz) ]
+      ~throughput ~client_latency
+      ~leader_cpu_pct:(100. *. Cpu.consumed leader.cpu /. dur)
+      leader.disk
+  in
+  let safety_ok, (executed_min, executed_max) =
+    if not chaos then (true, (0, 0))
+    else
+      ( logs_consistent exec_logs,
+        executed_range (Array.map List.length exec_logs) )
   in
   { throughput;
     client_latency;
@@ -2185,7 +2007,7 @@ let run_single ?(trace = false) (p : Params.t) =
         leader.request_qs;
     avg_proposal_queue = Squeue.avg_length leader.proposal_q;
     avg_dispatcher_queue = Squeue.avg_length leader.dispatcher_q;
-    replicas = Array.map report nodes;
+    replicas = Array.map (fun nd -> report ~dur nd.cpu nd.threads) nodes;
     leader_tx_pps = float_of_int (Nic.tx_packets leader.nic) /. dur;
     leader_rx_pps = float_of_int (Nic.rx_packets leader.nic) /. dur;
     leader_tx_mbps = float_of_int (Nic.tx_bytes leader.nic) /. dur /. 1e6;
@@ -2207,13 +2029,13 @@ let run_single ?(trace = false) (p : Params.t) =
     (* Reads are checked always (chaos or not): a fast-path answer that
        travels back in time w.r.t. the client's own acked writes is a
        safety violation wherever it happens. *)
-    safety_ok = safety_ok && !stale_answers = 0;
+    safety_ok = safety_ok && rb.stale = 0;
     executed_min;
     executed_max;
     client_retries = !client_retries;
     reads_completed = !reads_completed;
     read_rejects = !read_rejects;
-    stale_answers = !stale_answers;
+    stale_answers = rb.stale;
     timeline =
       Array.mapi
         (fun i n -> (p.warmup +. (float_of_int i *. p.chaos_bucket), n))
@@ -2221,7 +2043,6 @@ let run_single ?(trace = false) (p : Params.t) =
     events = Engine.events_processed eng;
     group_throughputs = [| throughput |];
     globals_executed = 0;
-    steals = !sm_steals;
     spec_dispatched = !spec_dispatched;
     spec_confirmed = !spec_confirmed;
     spec_aborted = !spec_aborted;
@@ -2286,90 +2107,24 @@ let run_multi ?(trace = false) (p : Params.t) =
         invalid_arg "Jpaxos_model.run: groups > 1 supports Crash faults only")
     p.faults;
   let eng = Engine.create () in
-  let tracer =
-    if trace then
-      Some
-        (Msmr_obs.Trace.create
-           ~clock:(fun () -> Int64.of_float (Engine.now eng *. 1e9))
-           ())
-    else None
-  in
-  let ns_of s = Int64.of_float (s *. 1e9) in
-  let state_name : Sstats.state -> string = function
-    | Sstats.Busy -> "busy"
-    | Sstats.Blocked -> "blocked"
-    | Sstats.Waiting -> "waiting"
-    | Sstats.Other -> "other"
-  in
+  let tracer = make_tracer ~trace eng in
   let c = p.costs in
-  let speed = p.profile.cpu_speed in
-  let cost x = x /. speed in
-  let net_slowdown =
-    1.0
-    +. (p.net_contention_per_io_thread
-        *. float_of_int (max 0 (p.client_io_threads - 8)))
-  in
-  let pkt_rate =
-    p.profile.pkt_rate /. net_slowdown *. (if p.rss then 2.0 else 1.0)
-  in
+  let cost = cost p in
   let chaos = p.faults <> [] in
-  let cfg =
-    { (Config.default ~n:p.n) with
-      groups = g_count;
-      window = p.wnd;
-      max_batch_bytes = p.bsz;
-      max_batch_delay_s = 0.005;
-      snapshot_every = 0 }
-  in
-  let cfg =
-    if chaos then
-      { cfg with
-        fd_interval_s = p.chaos_fd_interval;
-        fd_timeout_s = p.chaos_fd_timeout;
-        retransmit_interval_s = p.chaos_rtx_interval }
-    else cfg
-  in
-  (* Read fast-path gate + lease config, same discipline as run_single:
-     [lease = false] leaves the multi-group event stream byte-for-byte
-     the lease-free one (golden-pinned). *)
-  let reads_on = p.lease && p.read_ratio > 0. in
+  let cfg = config_of p ~chaos in
+  let reads_on = reads_on p in
   (* Speculation gate, same golden-pin discipline. The per-group SMs are
      serial, so the multi-group mirror speculates inline on each group's
      SM thread: the optimistic execution runs off the Router's early
      [Dspec] (during the consensus window), and the decide then promotes
      the staged effect for the cost of a confirm. *)
   let spec_on = p.speculate in
-  let cfg =
-    if p.lease then
-      { cfg with
-        Config.lease_enabled = true;
-        lease_duration_s = p.lease_duration;
-        clock_skew_bound_s = p.clock_skew }
-    else cfg
-  in
   (* The Router's partition function: in the live runtime the conflict
      key hashes to a group; the simulated workload's stand-in for the
      key is the client id (one client = one key), so the hash is a mod. *)
   let group_of_client cid = cid mod g_count in
   let home_of_group g = Config.initial_leader_of_group cfg ~gid:g in
-  (* Per-node drifting clocks (same model as run_single). *)
-  let horizon = p.warmup +. p.duration in
-  let clock_u i salt =
-    float_of_int (((i * 2654435761) + (salt * 40503)) land 1023) /. 1023.
-  in
-  let clock_offset =
-    Array.init p.n (fun i -> p.clock_skew /. 2. *. clock_u i 1)
-  in
-  let clock_drift =
-    Array.init p.n (fun i ->
-        if horizon <= 0. then 0.
-        else p.clock_skew /. 2. *. clock_u i 2 /. horizon)
-  in
-  let node_clock i =
-    let t = Engine.now eng in
-    (t *. (1. +. clock_drift.(i))) +. clock_offset.(i)
-  in
-  let clock_ns i = int_of_float (node_clock i *. 1e9) in
+  let node_clock, clock_ns = node_clocks eng p in
   (* One lease per (node, group): each group's leader holds its own
      lease, so read capacity scales with groups x replicas. Group [g]
      bootstraps in view [g]. *)
@@ -2420,58 +2175,17 @@ let run_multi ?(trace = false) (p : Params.t) =
         spec_abort_frame nid cid
       done
   in
-  let mis_total = ref 0 in
-  let force_mispredict () =
-    incr mis_total;
-    p.mispredict_ratio > 0.
-    && int_of_float (float_of_int !mis_total *. p.mispredict_ratio)
-       > int_of_float (float_of_int (!mis_total - 1) *. p.mispredict_ratio)
-  in
-  let read_result = Array.make n_cl (-1) in
-  let read_serve_t = Array.make n_cl 0. in
-  let read_floor = Array.make n_cl 0 in
-  let last_write_acked = Array.make n_cl 0 in
-  let ack_hist : (int * float) list array = Array.make n_cl [] in
-  let note_acked cid seq =
-    last_write_acked.(cid) <- seq;
-    let l = (seq, Engine.now eng) :: ack_hist.(cid) in
-    ack_hist.(cid) <-
-      (if List.length l > 64 then List.filteri (fun i _ -> i < 64) l else l)
-  in
-  let acked_floor cid cutoff =
-    let rec go = function
-      | (s, t) :: _ when t <= cutoff -> s
-      | _ :: rest -> go rest
-      | [] -> 0
-    in
-    go ack_hist.(cid)
-  in
+  let force_mispredict = mispredictor p in
+  let rb = read_book n_cl in
   let reads_completed = ref 0 in
   let read_rejects = ref 0 in
-  let stale_answers = ref 0 in
-  let check_read cid =
-    let q = read_result.(cid) in
-    if q >= 0 then begin
-      let floor =
-        if p.stale_reads then
-          acked_floor cid (read_serve_t.(cid) -. p.staleness_bound)
-        else read_floor.(cid)
-      in
-      if q < floor then incr stale_answers
-    end
-  in
-  let is_read_op k =
-    reads_on
-    && int_of_float (float_of_int k *. p.read_ratio)
-       > int_of_float (float_of_int (k - 1) *. p.read_ratio)
-  in
   (* ---------------- nodes ---------------- *)
   let mk_node id =
     let cpu =
       Cpu.create eng ~cores:p.cores ~switch_cost:(cost c.switch_cost) ()
     in
     let nic =
-      Nic.create eng ~pkt_rate ~bandwidth:p.profile.bandwidth
+      Nic.create eng ~pkt_rate:(pkt_rate p) ~bandwidth:p.profile.bandwidth
         ~name:(Printf.sprintf "nic-%d" id) ()
     in
     { mg_id = id; mg_cpu = cpu; mg_nic = nic;
@@ -2511,20 +2225,7 @@ let run_multi ?(trace = false) (p : Params.t) =
   let nodes = Array.init p.n mk_node in
   let register node st =
     node.mg_threads <- node.mg_threads @ [ st ];
-    match tracer with
-    | None -> None
-    | Some t ->
-      let tname = Sstats.name st in
-      let trk =
-        Msmr_obs.Trace.track t ~pid:node.mg_id
-          ~pname:(Printf.sprintf "replica-%d" node.mg_id) ~name:tname ()
-      in
-      let cat = Msmr_obs.Taxonomy.module_of_thread tname in
-      Sstats.attach_tracer st (fun state t0 t1 ->
-          let ts = ns_of t0 in
-          Msmr_obs.Trace.complete trk ~cat ~name:(state_name state)
-            ~ts_ns:ts ~dur_ns:(Int64.sub (ns_of t1) ts) ());
-      Some trk
+    trace_thread tracer ~pid:node.mg_id st
   in
   (* ---------------- fault injection state (crash-only chaos) -------- *)
   let net = Sfault.make_net ~seed:p.chaos_seed ~n:p.n p.faults in
@@ -2573,18 +2274,9 @@ let run_multi ?(trace = false) (p : Params.t) =
     | None -> false
   in
   let chaos_deliver_mg node g dst msg size =
-    if up.(node.mg_id) then
-      List.iter
-        (fun extra ->
-           let send () =
-             Nic.send node.mg_nic ~dst:nodes.(dst).mg_nic ~size (fun () ->
-                 if up.(dst) then
-                   Mailbox.push nodes.(dst).mg_rcv_mbs.(node.mg_id)
-                     (g, node.mg_id, msg))
-           in
-           if extra <= 0. then send ()
-           else Engine.schedule_at eng (Engine.now eng +. extra) send)
-        (Sfault.deliveries net ~src:node.mg_id ~now:(Engine.now eng) ~dst)
+    transmit eng ~chaos:true net up ~src:node.mg_id ~dst ~src_nic:node.mg_nic
+      ~dst_nic:nodes.(dst).mg_nic ~size (fun () ->
+        Mailbox.push nodes.(dst).mg_rcv_mbs.(node.mg_id) (g, node.mg_id, msg))
   in
   let rec rtx_fire id g key () =
     match Hashtbl.find_opt rtx_tbls.(id).(g) key with
@@ -2667,15 +2359,8 @@ let run_multi ?(trace = false) (p : Params.t) =
     end
   in
   if chaos then
-    List.iter
-      (function
-        | Sfault.Crash { node = id; at; restart_at } ->
-          Engine.schedule_at eng at (fun () -> do_crash id);
-          (match restart_at with
-           | Some rt -> Engine.schedule_at eng rt (fun () -> do_restart id)
-           | None -> ())
-        | _ -> ())
-      p.faults;
+    arm_faults eng net p ~crash:do_crash ~restart:do_restart
+      ~disk:(fun id -> nodes.(id).mg_disk);
   (* ---------------- measurement state ---------------- *)
   let measuring = ref false in
   let ce_record d_t =
@@ -2718,7 +2403,7 @@ let run_multi ?(trace = false) (p : Params.t) =
               Nic.rx_inject target.mg_nic ~size:p.request_size (fun () ->
                   Mailbox.push target.mg_cio_mbs.(cio_of_client cl.cid)
                     (Req req))));
-      if reads_on then note_acked cl.cid cl.next_seq
+      if reads_on then note_acked eng rb cl.cid cl.next_seq
     in
     (* Linearizable reads aim at the group's leaseholder;
        bounded-staleness reads spread over all replicas (the Router on
@@ -2727,16 +2412,16 @@ let run_multi ?(trace = false) (p : Params.t) =
     let do_read () =
       let id = { Client_msg.client_id = cl.cid; seq = cl.next_seq } in
       cl.sent_at <- Engine.now eng;
-      read_floor.(cl.cid) <- last_write_acked.(cl.cid);
+      rb.read_floor.(cl.cid) <- rb.last_write_acked.(cl.cid);
       let rec attempt tgt =
-        read_result.(cl.cid) <- -1;
+        rb.read_result.(cl.cid) <- -1;
         Engine.suspend eng (fun resume ->
             client_resume.(cl.cid) <- Some resume;
             Engine.schedule_at eng (Engine.now eng +. 30e-6) (fun () ->
                 Nic.rx_inject tgt.mg_nic ~size:p.request_size (fun () ->
                     Mailbox.push tgt.mg_cio_mbs.(cio_of_client cl.cid)
                       (Rd id))));
-        if read_result.(cl.cid) < 0 then begin
+        if rb.read_result.(cl.cid) < 0 then begin
           if !measuring then incr read_rejects;
           Engine.delay eng (p.lease_duration /. 8.);
           attempt target
@@ -2745,11 +2430,11 @@ let run_multi ?(trace = false) (p : Params.t) =
       (* [cid / n] decorrelates the read home from the cio-thread choice;
          see the single-group client for why [cid mod n] convoys. *)
       attempt (if p.stale_reads then nodes.(cl.cid / p.n mod p.n) else target);
-      check_read cl.cid
+      check_read p rb cl.cid
     in
     let rec loop () =
       cl.next_seq <- cl.next_seq + 1;
-      let is_read = is_read_op cl.next_seq in
+      let is_read = is_read_op p cl.next_seq in
       if is_read then do_read () else do_write ();
       if !measuring then begin
         incr completed;
@@ -2792,18 +2477,18 @@ let run_multi ?(trace = false) (p : Params.t) =
           attempt ()
       in
       attempt ();
-      if reads_on then note_acked cl.cid cl.next_seq
+      if reads_on then note_acked eng rb cl.cid cl.next_seq
     in
     let do_read_chaos () =
       let id = { Client_msg.client_id = cl.cid; seq = cl.next_seq } in
       cl.sent_at <- Engine.now eng;
-      read_floor.(cl.cid) <- last_write_acked.(cl.cid);
+      rb.read_floor.(cl.cid) <- rb.last_write_acked.(cl.cid);
       let rec attempt n_try =
         let target =
           if p.stale_reads && n_try = 0 then nodes.(cl.cid / p.n mod p.n)
           else nodes.(leader_hint_g.(g))
         in
-        read_result.(cl.cid) <- -1;
+        rb.read_result.(cl.cid) <- -1;
         match
           Engine.suspend_timeout eng ~timeout:p.chaos_client_timeout
             (fun resume ->
@@ -2818,7 +2503,7 @@ let run_multi ?(trace = false) (p : Params.t) =
                               (Rd id))))
         with
         | Engine.Value () ->
-          if read_result.(cl.cid) < 0 then begin
+          if rb.read_result.(cl.cid) < 0 then begin
             if !measuring then incr read_rejects;
             Engine.delay eng (p.lease_duration /. 8.);
             attempt (n_try + 1)
@@ -2829,12 +2514,12 @@ let run_multi ?(trace = false) (p : Params.t) =
           attempt (n_try + 1)
       in
       attempt 0;
-      check_read cl.cid
+      check_read p rb cl.cid
     in
     let rec loop () =
       cl.next_seq <- cl.next_seq + 1;
       awaiting_seq.(cl.cid) <- cl.next_seq;
-      let is_read = is_read_op cl.next_seq in
+      let is_read = is_read_op p cl.next_seq in
       if is_read then do_read_chaos () else do_write_chaos ();
       if !measuring then begin
         incr completed;
@@ -2925,46 +2610,15 @@ let run_multi ?(trace = false) (p : Params.t) =
       Sstats.make_thread eng ~name:(Printf.sprintf "Batcher-g%d" g)
     in
     let trk = register node st in
-    let policy = batcher_policies.(node.mg_id).(g) in
-    let now_ns () = Int64.of_float (Engine.now eng *. 1e9) in
-    let seal batch =
-      Cpu.work node.mg_cpu st (cost c.batcher_per_batch);
-      (match trk with
-       | Some trk ->
-         Msmr_obs.Trace.instant trk ~cat:"ReplicationCore"
-           ~args:
-             [ ("reqs", Msmr_obs.Json.Int (Batch.request_count batch));
-               ("bytes", Msmr_obs.Json.Int (Batch.size_bytes batch)) ]
-           "batch-seal"
-       | None -> ());
-      if !measuring then begin
-        incr batches;
-        batch_reqs := !batch_reqs + Batch.request_count batch;
-        batch_bytes := !batch_bytes + Batch.size_bytes batch
-      end;
-      Squeue.put node.mg_prop_qs.(g) st batch;
-      Squeue.put node.mg_disp_qs.(g) st Poke
-    in
-    let rec loop () =
-      let timeout =
-        match Batcher.deadline_ns policy with
-        | None -> 1.0
-        | Some d ->
-          Float.max 1e-5 ((Int64.to_float d /. 1e9) -. Engine.now eng)
-      in
-      (match Squeue.take_timeout node.mg_req_qs.(g) st ~timeout with
-       | Some req ->
-         Cpu.work node.mg_cpu st (cost c.batcher_per_req);
-         (match Batcher.add policy req ~now_ns:(now_ns ()) with
-          | Some batch -> seal batch
-          | None -> ())
-       | None -> (
-           match Batcher.flush_due policy ~now_ns:(now_ns ()) with
-           | Some batch -> seal batch
-           | None -> ()));
-      loop ()
-    in
-    loop ()
+    batcher_loop eng p node.mg_cpu st trk batcher_policies.(node.mg_id).(g)
+      node.mg_req_qs.(g) ~on_seal:(fun batch ->
+        if !measuring then begin
+          incr batches;
+          batch_reqs := !batch_reqs + Batch.request_count batch;
+          batch_bytes := !batch_bytes + Batch.size_bytes batch
+        end;
+        Squeue.put node.mg_prop_qs.(g) st batch;
+        Squeue.put node.mg_disp_qs.(g) st Poke)
   in
   (* ---------------- Protocol (one per group) ---------------- *)
   let inst_t0s : (int, float) Hashtbl.t array =
@@ -3143,90 +2797,15 @@ let run_multi ?(trace = false) (p : Params.t) =
       Sstats.make_thread eng ~name:(Printf.sprintf "ReplicaIOSnd-%d" peer)
     in
     let (_ : Msmr_obs.Trace.track option) = register node st in
-    let q = node.mg_send_qs.(peer) in
-    let rec drain_burst acc k =
-      if k = 0 then List.rev acc
-      else
-        match Squeue.try_take q st with
-        | Some m -> drain_burst (m :: acc) (k - 1)
-        | None -> List.rev acc
-    in
-    let deferred = ref [] in
-    let is_decide = function _, Msg.Decide _ -> true | _ -> false in
-    let rec next_burst () =
-      match
-        if !deferred = [] then Some (Squeue.take q st)
-        else Squeue.take_timeout q st ~timeout:0.0005
-      with
-      | Some first ->
-        let burst = !deferred @ (first :: drain_burst [] 31) in
-        deferred := [];
-        if List.for_all is_decide burst then begin
-          deferred := burst;
-          next_burst ()
-        end
-        else burst
-      | None ->
-        let burst = !deferred in
-        deferred := [];
-        burst
-    in
-    let rec loop () =
-      let burst = next_burst () in
-      let sized =
-        List.map
-          (fun (g, m) ->
-             let size = approx_size m in
-             Cpu.work node.mg_cpu st
-               (cost
-                  (c.io_ser_per_msg +. (c.io_ser_per_byte *. float_of_int size)));
-             (g, m, size))
-          burst
-      in
-      let flush seg_msgs seg_size =
-        if seg_msgs <> [] then begin
-          let msgs = List.rev seg_msgs in
-          if not chaos then
-            Nic.send node.mg_nic ~dst:nodes.(peer).mg_nic ~size:seg_size
-              (fun () ->
-                 List.iter
-                   (fun (g, m, _) ->
-                      Mailbox.push nodes.(peer).mg_rcv_mbs.(node.mg_id)
-                        (g, node.mg_id, m))
-                   msgs)
-          else if up.(node.mg_id) then
-            List.iter
-              (fun extra ->
-                 let send () =
-                   Nic.send node.mg_nic ~dst:nodes.(peer).mg_nic ~size:seg_size
-                     (fun () ->
-                        if up.(peer) then
-                          List.iter
-                            (fun (g, m, _) ->
-                               Mailbox.push nodes.(peer).mg_rcv_mbs.(node.mg_id)
-                                 (g, node.mg_id, m))
-                            msgs)
-                 in
-                 if extra <= 0. then send ()
-                 else Engine.schedule_at eng (Engine.now eng +. extra) send)
-              (Sfault.deliveries net ~src:node.mg_id ~now:(Engine.now eng)
-                 ~dst:peer)
-        end
-      in
-      let seg, size =
-        List.fold_left
-          (fun (seg, size) (g, m, s) ->
-             if size > 0 && size + s > segment_payload then begin
-               flush seg size;
-               ([ (g, m, s) ], s)
-             end
-             else ((g, m, s) :: seg, size + s))
-          ([], 0) sized
-      in
-      flush seg size;
-      loop ()
-    in
-    loop ()
+    sender_loop p node.mg_cpu st node.mg_send_qs.(peer) ~msg_of:snd
+      ~ship:(fun size msgs ->
+          transmit eng ~chaos net up ~src:node.mg_id ~dst:peer
+            ~src_nic:node.mg_nic ~dst_nic:nodes.(peer).mg_nic ~size (fun () ->
+              List.iter
+                (fun (g, m) ->
+                   Mailbox.push nodes.(peer).mg_rcv_mbs.(node.mg_id)
+                     (g, node.mg_id, m))
+                msgs))
   in
   let receiver_proc node peer () =
     let st =
@@ -3249,34 +2828,9 @@ let run_multi ?(trace = false) (p : Params.t) =
   let ss_proc node () =
     let st = Sstats.make_thread eng ~name:"StableStorage" in
     let (_ : Msmr_obs.Trace.track option) = register node st in
-    let q = Option.get node.mg_ss_q in
-    let d = Option.get node.mg_disk in
-    let rec drain acc k =
-      if k = 0 then List.rev acc
-      else
-        match Squeue.try_take q st with
-        | Some ev -> drain (ev :: acc) (k - 1)
-        | None -> List.rev acc
-    in
-    let rec loop () =
-      let first = Squeue.take q st in
-      let burst = first :: drain [] 255 in
-      List.iter
-        (function _, Sl_log n -> Sdisk.append d n | _, Sl_rel _ -> ())
-        burst;
-      if Sdisk.has_pending d then begin
-        Sstats.set st Sstats.Blocked;
-        Engine.suspend eng (fun resume -> Sdisk.fsync d resume);
-        Sstats.set st Sstats.Busy
-      end;
-      List.iter
-        (function
-          | g, Sl_rel (dest, msg) -> Squeue.put node.mg_send_qs.(dest) st (g, msg)
-          | _, Sl_log _ -> ())
-        burst;
-      loop ()
-    in
-    loop ()
+    stable_storage_loop eng st (Option.get node.mg_ss_q) (Option.get node.mg_disk)
+      ~ev:snd ~release:(fun (g, _) dest msg ->
+          Squeue.put node.mg_send_qs.(dest) st (g, msg))
   in
   (* ---------------- FailureDetector (crash-only chaos) -------------- *)
   (* Deterministic direct-check detector: under a crash-only schedule
@@ -3310,16 +2864,11 @@ let run_multi ?(trace = false) (p : Params.t) =
     Array.init p.n (fun _ -> ref [])
   in
   let globals_total = Array.make p.n 0 in
-  (* Same floor-crossing pattern as the single-group parallel SM:
-     deterministic, evenly spread, ratio * total in the long run.
-     Classified on group 0's decide stream — the group that sequences
+  (* Classified on group 0's decide stream — the group that sequences
      cross-group commands. *)
   let classify_global id =
     globals_total.(id) <- globals_total.(id) + 1;
-    let k = globals_total.(id) in
-    p.conflict_ratio > 0.
-    && int_of_float (float_of_int k *. p.conflict_ratio)
-       > int_of_float (float_of_int (k - 1) *. p.conflict_ratio)
+    floor_crosses p.conflict_ratio globals_total.(id)
   in
   let sm_proc node g () =
     let st = Sstats.make_thread eng ~name:(Printf.sprintf "Replica-g%d" g) in
@@ -3448,8 +2997,8 @@ let run_multi ?(trace = false) (p : Params.t) =
               && node_clock id -. last_apply_mg.(id).(g) <= p.staleness_bound)
         in
         if serve then begin
-          read_result.(r_id.client_id) <- ver.(id).(r_id.client_id);
-          read_serve_t.(r_id.client_id) <- Engine.now eng
+          rb.read_result.(r_id.client_id) <- ver.(id).(r_id.client_id);
+          rb.read_serve_t.(r_id.client_id) <- Engine.now eng
         end;
         Mailbox.push node.mg_cio_mbs.(cio_of_client r_id.client_id)
           (Rep r_id)
@@ -3581,19 +3130,6 @@ let run_multi ?(trace = false) (p : Params.t) =
     nodes;
   (* ---------------- collect ---------------- *)
   let dur = p.duration in
-  let report node =
-    let threads =
-      List.map (fun st -> (Sstats.name st, Sstats.totals st)) node.mg_threads
-    in
-    let blocked =
-      List.fold_left
-        (fun acc (_, (x : Sstats.totals)) -> acc +. x.blocked)
-        0. threads
-    in
-    { cpu_util_pct = 100. *. Cpu.consumed node.mg_cpu /. dur;
-      blocked_pct = 100. *. blocked /. dur;
-      threads }
-  in
   let throughput = float_of_int !completed /. dur in
   let client_latency =
     if !lat_n = 0 then 0. else !lat_sum /. float_of_int !lat_n
@@ -3606,14 +3142,11 @@ let run_multi ?(trace = false) (p : Params.t) =
       ("wnd", string_of_int p.wnd);
       ("bsz", string_of_int p.bsz) ]
   in
-  Msmr_obs.Metrics.set_gauge ~labels:m_labels "msmr_run_throughput_rps"
-    throughput;
-  Msmr_obs.Metrics.set_gauge ~labels:m_labels "msmr_run_client_latency_s"
-    client_latency;
-  Msmr_obs.Metrics.set_gauge ~labels:m_labels "msmr_run_leader_cpu_pct"
-    (100. *. Cpu.consumed nodes.(0).mg_cpu /. dur);
-  Msmr_obs.Metrics.set_gauge ~labels:m_labels "msmr_run_events"
-    (float_of_int (Engine.events_processed eng));
+  let wal_syncs, wal_group_avg =
+    publish_headline eng ~labels:m_labels ~throughput ~client_latency
+      ~leader_cpu_pct:(100. *. Cpu.consumed nodes.(0).mg_cpu /. dur)
+      nodes.(0).mg_disk
+  in
   Array.iteri
     (fun i cnt ->
        Msmr_obs.Metrics.set_gauge
@@ -3642,53 +3175,17 @@ let run_multi ?(trace = false) (p : Params.t) =
   (* Per-group linearizability: no node executed a request twice, and
      every pair of nodes agrees on the common prefix of each group's
      execution order. *)
-  let safety_ok, executed_min, executed_max =
-    if not chaos then (true, 0, 0)
-    else begin
-      let ok = ref true in
-      for g = 0 to g_count - 1 do
-        let arrs =
-          Array.init p.n (fun i ->
-              Array.of_list (List.rev exec_logs_mg.(i).(g)))
-        in
-        Array.iter
-          (fun a ->
-             let seen = Hashtbl.create (Array.length a) in
-             Array.iter
-               (fun r ->
-                  if Hashtbl.mem seen r then ok := false
-                  else Hashtbl.add seen r ())
-               a)
-          arrs;
-        for i = 1 to p.n - 1 do
-          let a = arrs.(0) and b = arrs.(i) in
-          let m = min (Array.length a) (Array.length b) in
-          for j = 0 to m - 1 do
-            if a.(j) <> b.(j) then ok := false
-          done
-        done
-      done;
-      let tot i =
-        Array.fold_left (fun acc l -> acc + List.length l) 0 exec_logs_mg.(i)
-      in
-      let mn = ref max_int and mx = ref 0 in
-      for i = 0 to p.n - 1 do
-        let t = tot i in
-        if t < !mn then mn := t;
-        if t > !mx then mx := t
-      done;
-      (!ok, (if !mn = max_int then 0 else !mn), !mx)
-    end
-  in
-  let wal_syncs, wal_group_avg =
-    match nodes.(0).mg_disk with
-    | Some d ->
-      Msmr_obs.Metrics.set_gauge ~labels:m_labels "msmr_wal_sync_total"
-        (float_of_int (Sdisk.syncs d));
-      Msmr_obs.Metrics.set_gauge ~labels:m_labels "msmr_wal_group_size"
-        (Sdisk.avg_group d);
-      (Sdisk.syncs d, Sdisk.avg_group d)
-    | None -> (0, 0.)
+  let safety_ok, (executed_min, executed_max) =
+    if not chaos then (true, (0, 0))
+    else
+      ( List.for_all
+          (fun g ->
+             logs_consistent (Array.map (fun logs -> logs.(g)) exec_logs_mg))
+          (List.init g_count Fun.id),
+        executed_range
+          (Array.map
+             (Array.fold_left (fun acc l -> acc + List.length l) 0)
+             exec_logs_mg) )
   in
   let sum_over_homes f =
     let acc = ref 0. in
@@ -3714,7 +3211,7 @@ let run_multi ?(trace = false) (p : Params.t) =
       sum_over_homes (fun node g -> Squeue.avg_length node.mg_prop_qs.(g));
     avg_dispatcher_queue =
       sum_over_homes (fun node g -> Squeue.avg_length node.mg_disp_qs.(g));
-    replicas = Array.map report nodes;
+    replicas = Array.map (fun nd -> report ~dur nd.mg_cpu nd.mg_threads) nodes;
     leader_tx_pps = float_of_int (Nic.tx_packets nodes.(0).mg_nic) /. dur;
     leader_rx_pps = float_of_int (Nic.rx_packets nodes.(0).mg_nic) /. dur;
     leader_tx_mbps = float_of_int (Nic.tx_bytes nodes.(0).mg_nic) /. dur /. 1e6;
@@ -3739,13 +3236,13 @@ let run_multi ?(trace = false) (p : Params.t) =
        else 0.);
     recovery_s = List.fold_left Float.max 0. !recovery_times;
     completed = !completed;
-    safety_ok = safety_ok && !stale_answers = 0;
+    safety_ok = safety_ok && rb.stale = 0;
     executed_min;
     executed_max;
     client_retries = !client_retries;
     reads_completed = !reads_completed;
     read_rejects = !read_rejects;
-    stale_answers = !stale_answers;
+    stale_answers = rb.stale;
     timeline =
       Array.mapi
         (fun i n -> (p.warmup +. (float_of_int i *. p.chaos_bucket), n))
@@ -3754,7 +3251,6 @@ let run_multi ?(trace = false) (p : Params.t) =
     group_throughputs =
       Array.map (fun cg -> float_of_int cg /. dur) completed_g;
     globals_executed = !globals_executed;
-    steals = 0;
     spec_dispatched = !spec_dispatched;
     spec_confirmed = !spec_confirmed;
     spec_aborted = !spec_aborted;

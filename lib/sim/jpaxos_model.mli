@@ -94,13 +94,6 @@ type result = {
           barrier (multi-group runs with [conflict_ratio > 0.]);
           [0] on the single-group path, whose Global accounting lives in
           the parallel-ServiceManager model *)
-  steals : int;
-      (** successful token steals in the work-stealing executor pool
-          over the whole run, warm-up included ([Params.steal] with
-          [exec_threads > 1] — at saturation no executor idles, so
-          steals concentrate in the ramp); [0] on the fixed-route and
-          serial paths, and on multi-group runs (which model the
-          fixed-route pool) *)
   spec_dispatched : int;
       (** speculation frames the leader pre-dispatched ahead of commit,
           whole run ([Params.speculate]); [0] with speculation off *)
@@ -135,6 +128,12 @@ val run : ?trace:bool -> Params.t -> result
     queue-depth counters for the measured window; headline results are
     also published to {!Msmr_obs.Metrics.default} with [mode="sim"]
     labels.
+
+    On the single-group path, [Params.exec_threads > 1] makes the
+    ServiceManager a scheduler over the live runtime's static,
+    hash-sharded executor pool: a request runs on the executor its
+    conflict key (client id) maps to, so the hot clients of
+    [Params.skew] convoy on executor 0.
 
     With [Params.groups <= 1] this is the classic single-group model,
     byte-for-byte the pre-multi-group path (golden-pinned). With

@@ -68,7 +68,6 @@ type t = {
   n_batchers : int;
   rss : bool;
   exec_threads : int;
-  steal : bool;
   speculate : bool;
   mispredict_ratio : float;
   skew : float;
@@ -114,7 +113,6 @@ let default ?(profile = parapluie) ~n ~cores () =
     n_batchers = 1;
     rss = false;
     exec_threads = 1;
-    steal = false;
     speculate = false;
     mispredict_ratio = 0.0;
     skew = 0.0;

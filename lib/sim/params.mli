@@ -87,16 +87,9 @@ type t = {
       (** extension (CBASE-style parallel ServiceManager): executor
           threads the scheduler fans decided requests out to. [1] (the
           default) is the paper's serial ServiceManager, simulated on the
-          exact pre-executor path. *)
-  steal : bool;
-      (** extension (lock-free runtime): work-stealing executor pool.
-          Requests route to per-conflict-key lanes (8 per executor);
-          each lane is owned by a token held by exactly one executor at
-          a time, and an executor whose token queue runs dry steals
-          half the victim's tokens. [false] (the default, also used
-          when [exec_threads <= 1]) keeps the exact fixed-route
-          [sm_parallel] path (golden-pinned). Deterministic: victims
-          are scanned in ring order, no RNG. *)
+          exact pre-executor path. Above [1] the model mirrors the live
+          runtime's static, hash-sharded executor pool: each request
+          routes to a fixed executor by conflict key (client id). *)
   speculate : bool;
       (** extension (DESIGN.md section 16): early scheduling +
           optimistic speculative execution. The leader pre-dispatches
@@ -114,10 +107,10 @@ type t = {
           chaos). Applies only when [speculate = true]. *)
   skew : float;
       (** fraction of clients classified "hot" (deterministic hash, no
-          RNG): hot clients all route to executor 0's lanes, modelling
-          a zipfian-like conflict-key skew that convoys a fixed-route
-          pool. [0.0] (the default) is byte-for-byte the uniform path.
-          Applies only when [exec_threads > 1]. *)
+          RNG): hot clients all route to executor 0, modelling a
+          zipfian-like conflict-key skew that convoys the hash-sharded
+          pool on one executor. [0.0] (the default) is byte-for-byte the
+          uniform path. Applies only when [exec_threads > 1]. *)
   conflict_ratio : float;
       (** fraction of decided requests classified Global (conflicting
           with everything): each forces a quiescence barrier before

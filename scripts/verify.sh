@@ -36,11 +36,10 @@ bench3_file="$(mktemp /tmp/msmr-verify-bench3.XXXXXX.json)"
 bench4_file="$(mktemp /tmp/msmr-verify-bench4.XXXXXX.json)"
 bench5_file="$(mktemp /tmp/msmr-verify-bench5.XXXXXX.json)"
 bench6_file="$(mktemp /tmp/msmr-verify-bench6.XXXXXX.json)"
-bench7_file="$(mktemp /tmp/msmr-verify-bench7.XXXXXX.json)"
 bench8_file="$(mktemp /tmp/msmr-verify-bench8.XXXXXX.json)"
 bench9_file="$(mktemp /tmp/msmr-verify-bench9.XXXXXX.json)"
 bench10_file="$(mktemp /tmp/msmr-verify-bench10.XXXXXX.json)"
-trap 'rm -f "$trace_file" "$metrics_file" "$bench_file" "$bench3_file" "$bench4_file" "$bench5_file" "$bench6_file" "$bench7_file" "$bench8_file" "$bench9_file" "$bench10_file"' EXIT
+trap 'rm -f "$trace_file" "$metrics_file" "$bench_file" "$bench3_file" "$bench4_file" "$bench5_file" "$bench6_file" "$bench8_file" "$bench9_file" "$bench10_file"' EXIT
 
 dune exec bin/sim_probe.exe -- --trace "$trace_file" --metrics "$metrics_file"
 
@@ -270,54 +269,6 @@ if command -v jq >/dev/null 2>&1; then
 else
   [ -s "$bench6_committed" ] || { echo "FAIL: $bench6_committed empty" >&2; exit 1; }
   echo "bench006 committed: jq not installed, checked file is non-empty"
-fi
-
-echo "== bench007 smoke (quick) =="
-dune exec bench/main.exe -- bench007 --quick --bench007-out "$bench7_file"
-
-if command -v jq >/dev/null 2>&1; then
-  jq empty "$bench7_file"
-  pts=$(jq '.sim.points | length' "$bench7_file")
-  bad=$(jq '[.sim.points[] | select(.nosteal_rps <= 0 or .steal_rps <= 0)]
-            | length' "$bench7_file")
-  # The simulated policy claim holds even on the quick run: stealing
-  # recovers the skew-0.9 convoy.
-  speedup_ok=$(jq '.sim.steal_speedup_hot >= 1.5' "$bench7_file")
-  echo "bench007 smoke: $pts skew points, steal>=1.5x: $speedup_ok"
-  [ "$pts" -eq 3 ] || { echo "FAIL: expected 3 skew points" >&2; exit 1; }
-  [ "$bad" -eq 0 ] || { echo "FAIL: non-positive throughput in bench007 smoke" >&2; exit 1; }
-  [ "$speedup_ok" = "true" ] || { echo "FAIL: steal speedup at skew 0.9 below 1.5x" >&2; exit 1; }
-else
-  [ -s "$bench7_file" ] || { echo "FAIL: $bench7_file empty" >&2; exit 1; }
-  case "$(head -c1 "$bench7_file")" in
-    '{') ;;
-    *) echo "FAIL: $bench7_file does not look like JSON" >&2; exit 1 ;;
-  esac
-  echo "bench007 smoke: jq not installed, checked file is non-empty JSON"
-fi
-
-echo "== bench007 committed results gate =="
-bench7_committed="bench/BENCH_007.json"
-[ -f "$bench7_committed" ] || { echo "FAIL: $bench7_committed missing" >&2; exit 1; }
-if command -v jq >/dev/null 2>&1; then
-  jq empty "$bench7_committed"
-  quick=$(jq '.quick' "$bench7_committed")
-  pts=$(jq '.sim.points | length' "$bench7_committed")
-  schema_bad=$(jq '[.sim.points[] | select((.skew != null and .nosteal_rps?
-                    and .steal_rps? and .speedup? and (.steals != null))
-                    | not)] | length' "$bench7_committed")
-  speedup_ok=$(jq '.sim.steal_speedup_hot >= 1.5' "$bench7_committed")
-  steals_ok=$(jq '[.sim.points[] | select(.skew >= 0.5 and .steals > 0)]
-               | length >= 1' "$bench7_committed")
-  echo "bench007 committed: $pts points, steal>=1.5x: $speedup_ok"
-  [ "$quick" = "false" ] || { echo "FAIL: committed bench007 was a --quick run" >&2; exit 1; }
-  [ "$pts" -eq 3 ] || { echo "FAIL: expected 3 committed skew points" >&2; exit 1; }
-  [ "$schema_bad" -eq 0 ] || { echo "FAIL: bench007 point missing required fields" >&2; exit 1; }
-  [ "$speedup_ok" = "true" ] || { echo "FAIL: committed steal speedup below 1.5x" >&2; exit 1; }
-  [ "$steals_ok" = "true" ] || { echo "FAIL: no skewed committed point recorded steals" >&2; exit 1; }
-else
-  [ -s "$bench7_committed" ] || { echo "FAIL: $bench7_committed empty" >&2; exit 1; }
-  echo "bench007 committed: jq not installed, checked file is non-empty"
 fi
 
 echo "== bench008 smoke (quick) =="

@@ -402,52 +402,6 @@ let test_jpaxos_executors_deterministic () =
   Alcotest.(check (float 0.)) "same throughput" r1.throughput r2.throughput;
   Alcotest.(check int) "same event count" r1.events r2.events
 
-(* Work-stealing executor pool in the model. *)
-
-let steal_params ~steal ~skew =
-  (* Execution-bound, with a client population small enough that the
-     cold clients cannot saturate executors 1..3 on their own — the
-     fixed-route convoy on executor 0 then shows up as lost throughput
-     (see bench007 for the same setup swept over skews). *)
-  let p = Params.default ~n:3 ~cores:16 () in
-  { p with
-    n_clients = 150; warmup = 0.1; duration = 0.3;
-    costs = { p.costs with exec_per_req = 50e-6 };
-    exec_threads = 4; steal; skew }
-
-let test_jpaxos_steal_deterministic () =
-  let p = steal_params ~steal:true ~skew:0.9 in
-  let r1 = Jpaxos_model.run p in
-  let r2 = Jpaxos_model.run p in
-  Alcotest.(check (float 0.)) "same throughput" r1.throughput r2.throughput;
-  Alcotest.(check int) "same event count" r1.events r2.events;
-  Alcotest.(check int) "same steal count" r1.steals r2.steals
-
-let test_jpaxos_steal_recovers_convoy () =
-  let fixed = Jpaxos_model.run (steal_params ~steal:false ~skew:0.9) in
-  let stolen = Jpaxos_model.run (steal_params ~steal:true ~skew:0.9) in
-  Alcotest.(check int) "fixed route never steals" 0 fixed.steals;
-  Alcotest.(check bool)
-    (Printf.sprintf "steals happened (%d)" stolen.steals)
-    true (stolen.steals > 0);
-  Alcotest.(check bool)
-    (Printf.sprintf "stealing (%.0f) >= 1.3x fixed (%.0f) at skew 0.9"
-       stolen.throughput fixed.throughput)
-    true
-    (stolen.throughput >= 1.3 *. fixed.throughput)
-
-let test_jpaxos_steal_uniform_parity () =
-  (* Uniform load saturates all executors either way: the lane/token
-     pool must not cost throughput when there is nothing to steal. *)
-  let fixed = Jpaxos_model.run (steal_params ~steal:false ~skew:0.0) in
-  let stolen = Jpaxos_model.run (steal_params ~steal:true ~skew:0.0) in
-  Alcotest.(check bool)
-    (Printf.sprintf "lanes (%.0f) within 10%% of fixed (%.0f)"
-       stolen.throughput fixed.throughput)
-    true
-    (stolen.throughput >= 0.9 *. fixed.throughput
-    && stolen.throughput <= 1.1 *. fixed.throughput)
-
 (* Durable-mode model: Sdisk device + StableStorage process. *)
 
 let test_sdisk_groups_and_serializes () =
@@ -895,7 +849,7 @@ let test_chaos_reads_partition_golden () =
 
 let spec_params ?(threads = 4) ?(mis = 0.0) ?(groups = 1) () =
   { (small_params ~cores:8 ()) with
-    exec_threads = threads; steal = groups = 1; groups;
+    exec_threads = threads; groups;
     speculate = true; mispredict_ratio = mis }
 
 let test_spec_off_counters_inert () =
@@ -984,7 +938,7 @@ let test_chaos_spec_crash_golden () =
     { (chaos_params ~duration:1.0
          [ Sfault.Crash { node = 0; at = 0.4; restart_at = Some 0.7 } ])
       with
-      cores = 8; exec_threads = 4; steal = true; speculate = true;
+      cores = 8; exec_threads = 4; speculate = true;
       mispredict_ratio = 0.1 }
   in
   let r1 = Jpaxos_model.run p in
@@ -1096,12 +1050,6 @@ let suite =
       `Slow test_jpaxos_executors_scale;
     Alcotest.test_case "jpaxos model: all-conflicting degenerates to serial"
       `Slow test_jpaxos_executors_conflicts_serialise;
-    Alcotest.test_case "jpaxos model: steal path deterministic" `Quick
-      test_jpaxos_steal_deterministic;
-    Alcotest.test_case "jpaxos model: stealing recovers the zipfian convoy"
-      `Quick test_jpaxos_steal_recovers_convoy;
-    Alcotest.test_case "jpaxos model: stealing neutral on uniform load" `Quick
-      test_jpaxos_steal_uniform_parity;
     Alcotest.test_case "jpaxos model: deterministic with executors" `Quick
       test_jpaxos_executors_deterministic;
     Alcotest.test_case "sdisk: group accounting and serialization" `Quick

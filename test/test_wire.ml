@@ -255,9 +255,135 @@ let prop_read_roundtrip =
        Client_msg.equal_read r
          (Client_msg.read_of_bytes (Client_msg.read_to_bytes r)))
 
+(* Decoder fuzzing: every decoder either returns or rejects its input
+   with [Codec.Malformed] / [Codec.Underflow] — never another exception —
+   on random bytes and on bit-flipped or truncated valid encodings. The
+   MSMR_QCHECK_COUNT environment variable raises the iteration count. *)
+
+let fuzz_count =
+  match Sys.getenv_opt "MSMR_QCHECK_COUNT" with
+  | Some s -> ( try max 1 (int_of_string (String.trim s)) with _ -> 10000)
+  | None -> 10000
+
+let valid_encodings =
+  let module Msg = Msmr_consensus.Msg in
+  let module Value = Msmr_consensus.Value in
+  let batch =
+    Value.Batch
+      { Msmr_consensus.Batch.bid = { src = 1; num = 7 };
+        requests = [ mk_req 3 4 "put k v"; mk_req 5 6 "" ] }
+  in
+  let reconfig =
+    Value.Reconfig
+      (Msmr_consensus.Membership.make ~epoch:2 ~voters:[ 0; 1; 2 ]
+         ~learners:[ 3 ])
+  in
+  let entry e_iid e_value =
+    { Msg.e_iid; e_view = 1; e_value; e_decided = e_iid mod 2 = 0 }
+  in
+  let entries = [ entry 4 batch; entry 5 Value.Noop; entry 6 reconfig ] in
+  List.map Msg.encode
+    [ Msg.Prepare { view = 3; from_iid = 10 };
+      Msg.Prepare_ok { view = 3; first_undecided = 4; entries };
+      Msg.Accept { view = 3; iid = 11; value = batch };
+      Msg.Accept { view = 3; iid = 12; value = reconfig };
+      Msg.Accepted { view = 3; iid = 11 };
+      Msg.Decide { view = 3; iid = 11 };
+      Msg.Catchup_query { from_iid = 1; to_iid = 9 };
+      Msg.Catchup_reply
+        { entries; snapshot = Some (7, Bytes.of_string "state") };
+      Msg.Heartbeat { view = 3; first_undecided = 12 };
+      Msg.Lease_ping { view = 3; t0_ns = 123_456 };
+      Msg.Lease_grant { view = 3; t0_ns = 123_456 } ]
+  @ [ Client_msg.request_to_bytes (mk_req 42 1001 "payload");
+      Client_msg.reply_to_bytes
+        { Client_msg.id = { client_id = 7; seq = 9 };
+          result = Bytes.of_string "ok" };
+      Client_msg.read_to_bytes (mk_read ~staleness_ns:5_000_000 3 4 "key");
+      Client_msg.read_reply_to_bytes
+        { Client_msg.rid = { client_id = 3; seq = 4 };
+          status = Client_msg.Read_ok (Bytes.of_string "v") };
+      Client_msg.read_reply_to_bytes
+        { Client_msg.rid = { client_id = 3; seq = 4 };
+          status = Client_msg.Not_leaseholder 2 } ]
+
+(* Random bytes, or a valid encoding with a few mutations — a bit
+   flipped, a byte overwritten, or an extreme 32-bit value (the shape of
+   a corrupt length or count field) written in place — possibly cut
+   short. *)
+let fuzz_input =
+  let extremes = [| -1l; Int32.min_int; Int32.max_int; 0l; 0x1_0000l |] in
+  let mutate b (pos, v, kind) =
+    let len = Bytes.length b in
+    let pos = pos mod len in
+    match kind with
+    | 0 -> Bytes.set_uint8 b pos (Bytes.get_uint8 b pos lxor (1 lsl (v mod 8)))
+    | 1 -> Bytes.set_uint8 b pos v
+    | _ ->
+      if pos + 4 <= len then
+        Bytes.set_int32_be b pos extremes.(v mod Array.length extremes)
+  in
+  let mutated =
+    QCheck.Gen.(
+      map
+        (fun (i, muts, cut) ->
+           let b = Bytes.copy (List.nth valid_encodings i) in
+           List.iter (mutate b) muts;
+           match cut with
+           | Some k -> Bytes.sub b 0 (k mod (Bytes.length b + 1))
+           | None -> b)
+        (triple
+           (int_bound (List.length valid_encodings - 1))
+           (list_size (int_range 1 3)
+              (triple (int_bound 1_000_000) (int_bound 255) (int_bound 2)))
+           (opt (int_bound 1_000_000))))
+  in
+  QCheck.make
+    ~print:(fun b -> String.escaped (Bytes.to_string b))
+    QCheck.Gen.(
+      oneof [ map Bytes.of_string (string_size (int_bound 64)); mutated ])
+
+let decoders =
+  [ (fun b -> ignore (Msmr_consensus.Msg.decode b));
+    (fun b -> ignore (Client_msg.request_of_bytes b));
+    (fun b -> ignore (Client_msg.reply_of_bytes b));
+    (fun b -> ignore (Client_msg.read_of_bytes b));
+    (fun b -> ignore (Client_msg.read_reply_of_bytes b)) ]
+
+let prop_decoders_reject_cleanly =
+  QCheck.Test.make ~name:"decoders return or raise Malformed/Underflow"
+    ~count:fuzz_count fuzz_input (fun b ->
+      List.iter
+        (fun decode ->
+           try decode b with Codec.Malformed _ | Codec.Underflow -> ())
+        decoders;
+      true)
+
+(* Arbitrary bytes on a pipe: [Frame.read] yields frames until a clean
+   [None], or gives up with [End_of_file] / [Frame.Oversized]. The input
+   stays below the pipe buffer, so the write never blocks. *)
+let prop_frame_read_rejects_cleanly =
+  QCheck.Test.make ~name:"frame read: frames, None, End_of_file or Oversized"
+    ~count:fuzz_count fuzz_input (fun b ->
+      let rd, wr = Unix.pipe () in
+      Fun.protect
+        ~finally:(fun () -> Unix.close rd)
+        (fun () ->
+           ignore (Unix.write wr b 0 (Bytes.length b));
+           Unix.close wr;
+           let rec drain () =
+             match Frame.read rd with
+             | Some _ -> drain ()
+             | None -> ()
+             | exception (End_of_file | Frame.Oversized _) -> ()
+           in
+           drain ();
+           true))
+
 let qsuite =
   List.map QCheck_alcotest.to_alcotest
-    [ prop_codec_string_roundtrip; prop_request_roundtrip; prop_read_roundtrip ]
+    [ prop_codec_string_roundtrip; prop_request_roundtrip; prop_read_roundtrip;
+      prop_decoders_reject_cleanly; prop_frame_read_rejects_cleanly ]
 
 let suite =
   [
