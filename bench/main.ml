@@ -503,15 +503,11 @@ let live_mono () =
     "Staged architecture vs traditional monolithic event loop (live, this host)";
   Printf.printf
     "(the paper's premise: the traditional single-event-loop design is\n\
-    \ fine on few cores and caps at one thread. This host has %d core(s),\n\
-    \ so expect parity here; the multi-core separation is what fig4/fig12\n\
-    \ show on the simulator.)\n"
-    (try
-       let ic = Unix.open_process_in "nproc" in
-       let n = int_of_string (String.trim (input_line ic)) in
-       ignore (Unix.close_process_in ic);
-       n
-     with _ -> 1);
+    \ fine on few cores and caps at one thread. This host runs %d\n\
+    \ domain(s) in parallel; with two or more, the staged runtime puts its\n\
+    \ client-facing stages on a second domain. The many-core separation is\n\
+    \ what fig4/fig12 show on the simulator.)\n"
+    (Domain.recommended_domain_count ());
   let module R = Msmr_runtime in
   let cfg =
     { (Msmr_consensus.Config.default ~n:3) with max_batch_delay_s = 0.002 }

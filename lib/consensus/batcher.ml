@@ -17,12 +17,15 @@ type t = {
   mutable open_count : int;                     (* = length open_reqs *)
   mutable open_bytes : int;
   mutable oldest_ns : int64;                    (* arrival of oldest request *)
-  (* Monotone seal accounting, read cross-thread by the autotune
-     controller (plain word reads: benign staleness, no tearing). *)
-  mutable seals_size : int;
-  mutable seals_delay : int;
-  mutable sealed_bytes : int;
-  mutable limit_bytes : int;
+  (* Monotone seal accounting, written by the Batcher thread (front
+     domain) and read by the Protocol thread's autotune tick and the
+     metrics gauges (main domain). Each counter is atomic; a reader may
+     see a seal in some counters and not yet in others, which moves that
+     seal into the next controller epoch. *)
+  seals_size : int Atomic.t;
+  seals_delay : int Atomic.t;
+  sealed_bytes : int Atomic.t;
+  limit_bytes : int Atomic.t;
 }
 
 let create ?tuned_bsz cfg ~src =
@@ -35,10 +38,10 @@ let create ?tuned_bsz cfg ~src =
     open_count = 0;
     open_bytes = 0;
     oldest_ns = 0L;
-    seals_size = 0;
-    seals_delay = 0;
-    sealed_bytes = 0;
-    limit_bytes = 0;
+    seals_size = Atomic.make 0;
+    seals_delay = Atomic.make 0;
+    sealed_bytes = Atomic.make 0;
+    limit_bytes = Atomic.make 0;
   }
 
 let bsz_limit t =
@@ -49,19 +52,23 @@ let bsz_limit t =
 let pending_requests t = t.open_count
 let pending_bytes t = t.open_bytes
 
+(* [seal] adds to [limit_bytes] before [sealed_bytes] and this reads
+   them the other way round, so a snapshot's limit covers every byte it
+   counts: a controller epoch's fill never exceeds 1. *)
 let seal_stats t =
+  let sealed_bytes = Atomic.get t.sealed_bytes in
+  let limit_bytes = Atomic.get t.limit_bytes in
   {
-    seals_size = t.seals_size;
-    seals_delay = t.seals_delay;
-    sealed_bytes = t.sealed_bytes;
-    limit_bytes = t.limit_bytes;
+    seals_size = Atomic.get t.seals_size;
+    seals_delay = Atomic.get t.seals_delay;
+    sealed_bytes;
+    limit_bytes;
   }
 
 let seal t ~limit ~on_size =
-  if on_size then t.seals_size <- t.seals_size + 1
-  else t.seals_delay <- t.seals_delay + 1;
-  t.sealed_bytes <- t.sealed_bytes + t.open_bytes;
-  t.limit_bytes <- t.limit_bytes + limit;
+  Atomic.incr (if on_size then t.seals_size else t.seals_delay);
+  ignore (Atomic.fetch_and_add t.limit_bytes limit);
+  ignore (Atomic.fetch_and_add t.sealed_bytes t.open_bytes);
   let batch =
     { Batch.bid = { src = t.src; num = t.next_num };
       requests = List.rev t.open_reqs }

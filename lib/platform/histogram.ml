@@ -5,16 +5,27 @@
 let buckets_per_octave = 16
 let n_buckets = 600
 
+(* The buckets are kept in chunks small enough for the minor heap. One
+   600-slot array is a major-heap block, and filling it with freshly
+   made atomics makes [Array.init] force a minor collection: a
+   stop-the-world pause per histogram created once a second domain
+   runs (DESIGN.md, "Domains: front and core"). *)
+let chunk = 200
+
 type t = {
-  counts : int Atomic.t array;
+  counts : int Atomic.t array array;   (* bucket b = counts.(b / chunk).(b mod chunk) *)
   total : int Atomic.t;
   sum_ns : int Atomic.t;          (* total nanoseconds, for the mean *)
 }
 
 let create () =
-  { counts = Array.init n_buckets (fun _ -> Atomic.make 0);
+  { counts =
+      Array.init (n_buckets / chunk) (fun _ ->
+          Array.init chunk (fun _ -> Atomic.make 0));
     total = Atomic.make 0;
     sum_ns = Atomic.make 0 }
+
+let bucket t b = t.counts.(b / chunk).(b mod chunk)
 
 let bucket_of_ns ns =
   if ns <= 1. then 0
@@ -31,7 +42,7 @@ let ns_of_bucket b =
 let record t seconds =
   let ns = Float.max 0. (seconds *. 1e9) in
   let b = bucket_of_ns ns in
-  ignore (Atomic.fetch_and_add t.counts.(b) 1);
+  ignore (Atomic.fetch_and_add (bucket t b) 1);
   ignore (Atomic.fetch_and_add t.total 1);
   ignore (Atomic.fetch_and_add t.sum_ns (int_of_float ns))
 
@@ -52,7 +63,7 @@ let percentile t p =
     let rec go b acc =
       if b >= n_buckets then ns_of_bucket (n_buckets - 1) /. 1e9
       else begin
-        let acc = acc + Atomic.get t.counts.(b) in
+        let acc = acc + Atomic.get (bucket t b) in
         if acc >= target then ns_of_bucket b /. 1e9 else go (b + 1) acc
       end
     in
@@ -60,16 +71,15 @@ let percentile t p =
   end
 
 let merge_into ~src ~dst =
-  Array.iteri
-    (fun i c ->
-       let v = Atomic.get c in
-       if v > 0 then ignore (Atomic.fetch_and_add dst.counts.(i) v))
-    src.counts;
+  for b = 0 to n_buckets - 1 do
+    let v = Atomic.get (bucket src b) in
+    if v > 0 then ignore (Atomic.fetch_and_add (bucket dst b) v)
+  done;
   ignore (Atomic.fetch_and_add dst.total (Atomic.get src.total));
   ignore (Atomic.fetch_and_add dst.sum_ns (Atomic.get src.sum_ns))
 
 let reset t =
-  Array.iter (fun c -> Atomic.set c 0) t.counts;
+  Array.iter (Array.iter (fun c -> Atomic.set c 0)) t.counts;
   Atomic.set t.total 0;
   Atomic.set t.sum_ns 0
 

@@ -167,8 +167,9 @@ let create ?(name_prefix = "") ?on_fresh ~pool_size
   in
   let threads =
     List.init pool_size (fun i ->
-        Worker.spawn ~name:(Printf.sprintf "%sClientIO-%d" name_prefix i) (fun st ->
-            worker_loop t i st))
+        Worker.spawn ~on:Worker.Front
+          ~name:(Printf.sprintf "%sClientIO-%d" name_prefix i)
+          (fun st -> worker_loop t i st))
   in
   { t with threads }
 

@@ -8,7 +8,9 @@ module Log = (val Logs.src_log log_src : Logs.LOG)
 type conn = {
   fd : Unix.file_descr;
   write_lock : Mutex.t;
-  mutable alive : bool;
+  alive : bool Atomic.t;
+      (* read lock-free by the conn reader (front domain), cleared by
+         [stop] outside [write_lock] *)
 }
 
 type t = {
@@ -31,17 +33,17 @@ type t = {
 let sink_of conn raw =
   Mutex.lock conn.write_lock;
   Fun.protect ~finally:(fun () -> Mutex.unlock conn.write_lock) @@ fun () ->
-  if conn.alive then
+  if Atomic.get conn.alive then
     try Msmr_wire.Frame.write conn.fd raw
-    with Unix.Unix_error _ | Sys_error _ -> conn.alive <- false
+    with Unix.Unix_error _ | Sys_error _ -> Atomic.set conn.alive false
 
 (* Coalesced variant: a whole run of replies leaves in one write(2). *)
 let batch_sink_of conn raws =
   Mutex.lock conn.write_lock;
   Fun.protect ~finally:(fun () -> Mutex.unlock conn.write_lock) @@ fun () ->
-  if conn.alive then
+  if Atomic.get conn.alive then
     try Msmr_wire.Frame.write_many conn.fd raws
-    with Unix.Unix_error _ | Sys_error _ -> conn.alive <- false
+    with Unix.Unix_error _ | Sys_error _ -> Atomic.set conn.alive false
 
 let conn_reader t conn st =
   (* One closure pair per connection: the ClientIO drain groups replies by
@@ -50,7 +52,7 @@ let conn_reader t conn st =
   let reply_to = sink_of conn in
   let reply_many = batch_sink_of conn in
   let continue = ref true in
-  while !continue && conn.alive do
+  while !continue && Atomic.get conn.alive do
     (* Blocked in read(2) on an idle link is not work: [Other], as the
        replicas' receiver threads account it. *)
     match
@@ -63,7 +65,7 @@ let conn_reader t conn st =
       ->
       continue := false
   done;
-  conn.alive <- false;
+  Atomic.set conn.alive false;
   try Unix.close conn.fd with Unix.Unix_error _ -> ()
 
 let accept_loop t st =
@@ -75,18 +77,21 @@ let accept_loop t st =
     | fd, _ ->
       Unix.setsockopt fd Unix.TCP_NODELAY true;
       Msmr_obs.Metrics.incr t.m_accepted;
-      let conn = { fd; write_lock = Mutex.create (); alive = true } in
+      let conn =
+        { fd; write_lock = Mutex.create (); alive = Atomic.make true }
+      in
       Mutex.lock t.conns_lock;
       let id = t.next_conn in
       t.next_conn <- id + 1;
       Hashtbl.replace t.conns id conn;
       Mutex.unlock t.conns_lock;
       ignore
-        (Worker.spawn ~name:(Printf.sprintf "conn-%d" id) (fun st ->
-             conn_reader t conn st;
-             Mutex.lock t.conns_lock;
-             Hashtbl.remove t.conns id;
-             Mutex.unlock t.conns_lock))
+        (Worker.spawn ~on:Worker.Front ~name:(Printf.sprintf "conn-%d" id)
+           (fun st ->
+              conn_reader t conn st;
+              Mutex.lock t.conns_lock;
+              Hashtbl.remove t.conns id;
+              Mutex.unlock t.conns_lock))
     | exception Unix.Unix_error _ -> ()  (* listener closed: loop exits *)
   done
 
@@ -116,7 +121,8 @@ let start_with ~label ~submit ~port =
        let n = Hashtbl.length t.conns in
        Mutex.unlock t.conns_lock;
        float_of_int n);
-  t.acceptor <- Some (Worker.spawn ~name:"ClientAcceptor" (accept_loop t));
+  t.acceptor <-
+    Some (Worker.spawn ~on:Worker.Front ~name:"ClientAcceptor" (accept_loop t));
   Log.info (fun m -> m "client server listening on port %d" bound_port);
   t
 
@@ -166,7 +172,7 @@ let stop t =
     Mutex.unlock t.conns_lock;
     List.iter
       (fun c ->
-         c.alive <- false;
+         Atomic.set c.alive false;
          try Unix.shutdown c.fd Unix.SHUTDOWN_ALL with Unix.Unix_error _ -> ())
       conns;
     match t.acceptor with Some w -> Worker.join w | None -> ()

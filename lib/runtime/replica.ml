@@ -1737,8 +1737,8 @@ let create ?(client_io_threads = 3) ?(batcher_threads = 1)
       ~request_queue:t.request_q ~reply_cache:t.reply_cache ()
   in
   t.client_io <- Some cio;
-  let spawn name f =
-    Worker.spawn ~name:(Printf.sprintf "r%d/%s" me name) (fun st -> f t st)
+  let spawn ?on name f =
+    Worker.spawn ?on ~name:(Printf.sprintf "r%d/%s" me name) (fun st -> f t st)
   in
   let io_threads =
     List.concat_map
@@ -1776,7 +1776,7 @@ let create ?(client_io_threads = 3) ?(batcher_threads = 1)
   in
   let batchers =
     List.init (max 1 batcher_threads) (fun i ->
-        spawn
+        spawn ~on:Worker.Front
           (if batcher_threads <= 1 then "Batcher"
            else Printf.sprintf "Batcher-%d" i)
           (batcher_loop i))

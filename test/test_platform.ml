@@ -462,6 +462,51 @@ let test_worker_failure_capture () =
   | Some (Failure msg) -> Alcotest.(check string) "msg" "boom" msg
   | _ -> Alcotest.fail "expected captured failure"
 
+(* A [Front] worker runs on the front domain when the host recommends
+   more than one domain, and on the caller's domain otherwise. Either
+   way [join] waits for the body, an escaping exception is recorded,
+   and the worker's accounting handle is registered while it runs. *)
+let test_worker_front_placement () =
+  let caller = Domain.self () in
+  let ran_on = Atomic.make caller and ended = Atomic.make false in
+  let registered = Atomic.make false in
+  let w =
+    Worker.spawn ~on:Worker.Front ~name:"front-probe" (fun _ ->
+        Atomic.set ran_on (Domain.self ());
+        Atomic.set registered
+          (List.mem_assoc "front-probe" (Thread_state.snapshot_all ()));
+        Mclock.sleep_s 0.05;
+        Atomic.set ended true)
+  in
+  Worker.join w;
+  Alcotest.(check bool) "join waits for the body" true (Atomic.get ended);
+  Alcotest.(check bool) "handle in snapshot_all" true (Atomic.get registered);
+  Alcotest.(check bool) "no failure" true (Worker.failure w = None);
+  if Domain.recommended_domain_count () > 1 then
+    Alcotest.(check bool) "ran on another domain" true
+      (Atomic.get ran_on <> caller)
+  else
+    Alcotest.(check bool) "ran on the main domain" true
+      (Domain.is_main_domain () && Atomic.get ran_on = caller);
+  let dying = Worker.spawn ~on:Worker.Front ~name:"front-dying" (fun _ ->
+      failwith "front boom")
+  in
+  Worker.join dying;
+  match Worker.failure dying with
+  | Some (Failure msg) -> Alcotest.(check string) "msg" "front boom" msg
+  | _ -> Alcotest.fail "expected captured failure"
+
+(* Runs [f] on a second domain when the host recommends one, else on a
+   thread: the queue properties below then cross a domain boundary,
+   as the ClientIO/Batcher edges do. *)
+let on_other_domain f =
+  if Domain.recommended_domain_count () > 1 then
+    let d = Domain.spawn f in
+    fun () -> Domain.join d
+  else
+    let th = Thread.create f () in
+    fun () -> Thread.join th
+
 (* QCheck iteration count for the multi-threaded queue property; the
    MSMR_QCHECK_COUNT environment variable raises it (scripts/verify.sh's
    stress profile). *)
@@ -470,10 +515,10 @@ let stress_count =
   | Some s -> ( try max 1 (int_of_string (String.trim s)) with _ -> 30)
   | None -> 30
 
-(* Producers and consumers on real threads, over small capacities so
-   both [put] and [take] park: every element is taken exactly once, and
-   each consumer sees any one producer's elements in that producer's
-   order. *)
+(* Producers (on a second domain) and consumers (threads of this one),
+   over small capacities so both [put] and [take] park: every element
+   is taken exactly once, and each consumer sees any one producer's
+   elements in that producer's order. *)
 let prop_bq_exactly_once =
   QCheck.Test.make ~name:"bqueue mpmc: exactly-once, per-producer order"
     ~count:stress_count
@@ -494,16 +539,18 @@ let prop_bq_exactly_once =
                 ())
            out
        in
-       let producers =
-         List.init n_producers (fun p ->
-             Thread.create
-               (fun () ->
-                  for seq = 0 to per - 1 do
-                    Bounded_queue.put q (p, seq)
-                  done)
-               ())
+       let join_producers =
+         on_other_domain (fun () ->
+             List.init n_producers (fun p ->
+                 Thread.create
+                   (fun () ->
+                      for seq = 0 to per - 1 do
+                        Bounded_queue.put q (p, seq)
+                      done)
+                   ())
+             |> List.iter Thread.join)
        in
-       List.iter Thread.join producers;
+       join_producers ();
        Bounded_queue.close q;
        Array.iter Thread.join consumers;
        let rec increasing = function
@@ -529,9 +576,45 @@ let prop_bq_exactly_once =
        in
        Array.for_all ordered out && all = expected)
 
+(* The ServiceManager->ClientIO reply edge: producers on a second
+   domain push into an [Mpsc_queue], this domain's single consumer pops
+   every element exactly once and each producer's in order. *)
+let prop_mpsc_exactly_once =
+  QCheck.Test.make ~name:"mpsc: exactly-once, per-producer order"
+    ~count:stress_count
+    QCheck.(pair (int_range 1 3) (int_range 0 200))
+    (fun (n_producers, per) ->
+       let q = Mpsc_queue.create () in
+       let join_producers =
+         on_other_domain (fun () ->
+             List.init n_producers (fun p ->
+                 Thread.create
+                   (fun () ->
+                      for seq = 0 to per - 1 do
+                        Mpsc_queue.push q (p, seq)
+                      done)
+                   ())
+             |> List.iter Thread.join)
+       in
+       let total = n_producers * per in
+       let next = Array.make n_producers 0 in
+       let ordered = ref true and got = ref 0 in
+       while !got < total do
+         match Mpsc_queue.pop q with
+         | None -> Thread.yield ()
+         | Some (p, seq) ->
+           if seq <> next.(p) then ordered := false;
+           next.(p) <- seq + 1;
+           incr got
+       done;
+       join_producers ();
+       !ordered && Mpsc_queue.pop q = None
+       && Array.for_all (fun n -> n = per) next)
+
 let qsuite =
   List.map QCheck_alcotest.to_alcotest
-    [ prop_heap_sorts; prop_cmap_models_hashtbl; prop_bq_exactly_once ]
+    [ prop_heap_sorts; prop_cmap_models_hashtbl; prop_bq_exactly_once;
+      prop_mpsc_exactly_once ]
 
 let suite =
   [
@@ -564,6 +647,7 @@ let suite =
     Alcotest.test_case "thread state: registry" `Quick test_thread_state_registry;
     Alcotest.test_case "rate meter: counter/mean" `Quick test_counter_and_mean;
     Alcotest.test_case "worker: failure capture" `Quick test_worker_failure_capture;
+    Alcotest.test_case "worker: front placement" `Quick test_worker_front_placement;
   ]
   @ qsuite
 
